@@ -16,7 +16,7 @@ import time
 sys.path.insert(0, "src")
 
 from turan_matroids.bounds import euler_product_interval, u2_density
-from turan_matroids.extremal import SearchOptions, density_rows
+from turan_matroids.extremal import DEFAULT_MAX_NODES, SearchOptions, density_rows
 
 
 def main() -> int:
@@ -24,7 +24,7 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=7)
     ap.add_argument("--forbid", default="2,3")
     ap.add_argument("--r", type=int, default=2)
-    ap.add_argument("--max-nodes", type=int, default=None)
+    ap.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     args = ap.parse_args()
     s, t = (int(x) for x in args.forbid.split(","))
 

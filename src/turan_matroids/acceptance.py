@@ -3,7 +3,8 @@
 Each criterion is a standalone check with its tolerance pinned in code;
 ``run_suite`` drives them for the CLI (one pass/fail line each) and the
 test suite asserts them individually.  Everything is deterministic: RNG
-seeds are fixed and worker counts never change reported values.
+seeds are fixed, and criterion 16 checks that reports are byte-identical
+across fresh interpreters with different hash seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import bounds as B
 from .bitsets import popcount
 from .canonical import are_isomorphic
 from .extremal import (
-    SearchOptions,
     exhaustive_oracle_max_bases,
     search_binary_max_bases,
     search_ex,
@@ -149,9 +149,9 @@ def criterion_02_blowup_equality() -> AcceptanceResult:
     )
 
 
-def criterion_03_lagrangian_certified(workers: int = 1) -> AcceptanceResult:
+def criterion_03_lagrangian_certified() -> AcceptanceResult:
     pg = projective_geometry(3, 2)
-    res = maximize(pg, bound_t=2, workers=workers)
+    res = maximize(pg, bound_t=2)
     target = 28.0 / 343.0
     ok_value = abs(res.value - target) < 1e-9 and res.certified
     rng = np.random.default_rng(20240831)
@@ -238,10 +238,9 @@ def criterion_05_density_consistency() -> AcceptanceResult:
     )
 
 
-def criterion_06_search_u23(workers: int = 1) -> AcceptanceResult:
-    opts = SearchOptions(workers=workers)
-    rep4 = search_ex(4, 2, 2, 3, opts)
-    rep6 = search_ex(6, 2, 2, 3, opts)
+def criterion_06_search_u23() -> AcceptanceResult:
+    rep4 = search_ex(4, 2, 2, 3)
+    rep6 = search_ex(6, 2, 2, 3)
     ok = (
         rep4.max_bases == 4
         and rep6.max_bases == 9
@@ -379,9 +378,9 @@ def criterion_11_decomposition_certificates() -> AcceptanceResult:
     )
 
 
-def criterion_12_binary_subsets(workers: int = 1) -> AcceptanceResult:
-    rep34 = search_binary_max_bases(3, 4, workers=workers)
-    rep48 = search_binary_max_bases(4, 8, workers=workers)
+def criterion_12_binary_subsets() -> AcceptanceResult:
+    rep34 = search_binary_max_bases(3, 4)
+    rep48 = search_binary_max_bases(4, 8)
     bb48 = bose_burton(4, 2, 1).basis_count
     ok = (
         rep34.max_bases == 4
@@ -480,11 +479,13 @@ def criterion_15_matroid_counts() -> AcceptanceResult:
 
 
 def criterion_16_determinism() -> AcceptanceResult:
-    import os
-    import tempfile
-    from .cli import main as cli_main
     import contextlib
     import io as io_mod
+    import os
+    import subprocess
+    import sys
+    import tempfile
+    from .cli import main as cli_main
 
     def capture(argv):
         buf = io_mod.StringIO()
@@ -492,30 +493,36 @@ def criterion_16_determinism() -> AcceptanceResult:
             code = cli_main(argv)
         return code, buf.getvalue()
 
+    # children import this very package, whatever sys.path found it on
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def child(argv, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "turan_matroids", *argv],
+            capture_output=True, text=True, encoding="utf-8", env=env, timeout=300,
+        )
+        return proc.returncode, proc.stdout
+
     with tempfile.TemporaryDirectory() as tmp:
         fano = os.path.join(tmp, "fano.matroid")
         code, text = capture(["construct", "pg", "--r", "3", "--q", "2"])
         with open(fano, "w", encoding="utf-8") as fh:
             fh.write(text)
-        runs = {}
-        for w in (1, 4):
-            runs[("lagrangian", w)] = capture(
-                ["lagrangian", "--in", fano, "--bound-t", "2", "--workers", str(w), "--json"]
-            )
-            runs[("search", w)] = capture(
-                ["search", "--n", "6", "--r", "2", "--forbid", "2,3",
-                 "--workers", str(w), "--json"]
-            )
-            runs[("binary", w)] = capture(
-                ["binary-search", "--r", "4", "--size", "8", "--workers", str(w), "--json"]
-            )
-    same = all(runs[(k, 1)] == runs[(k, 4)] for k in ("lagrangian", "search", "binary"))
-    codes_ok = all(v[0] == 0 for v in runs.values())
+        commands = (
+            ["lagrangian", "--in", fano, "--bound-t", "2", "--json"],
+            ["search", "--n", "6", "--r", "2", "--forbid", "2,3", "--json"],
+            ["binary-search", "--r", "4", "--size", "8", "--json"],
+        )
+        runs = [[capture(argv), child(argv, 0), child(argv, 1)] for argv in commands]
+    same = all(outs[0] == outs[1] == outs[2] for outs in runs)
+    codes_ok = all(code == 0 for outs in runs for code, _ in outs)
     return _result(
-        "16 byte-identical reports across worker counts",
+        "16 byte-identical reports across fresh interpreters",
         ("determinism",),
         same and codes_ok,
-        f"identical={same} exit_codes_ok={codes_ok}",
+        f"identical={same} exit_codes_ok={codes_ok} interpreters=3",
     )
 
 
@@ -542,25 +549,20 @@ SUITES = ("all", "core", "bounds", "geometry", "u2", "lagrangian", "search", "ra
           "minors", "determinism")
 
 
-def run_suite(suite: str = "all", workers: int = 1):
+def run_suite(suite: str = "all"):
     """Run the acceptance criteria of a suite; returns AcceptanceResults.
 
     A criterion that raises (for instance a certificate escalation) is
     reported as failed rather than aborting the remaining criteria.
     """
-    import inspect
-
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     results = []
     for fn, tags in CRITERIA:
         if suite != "all" and suite not in tags:
             continue
-        kwargs = {}
-        if "workers" in inspect.signature(fn).parameters:
-            kwargs["workers"] = workers
         try:
-            results.append(fn(**kwargs))
+            results.append(fn())
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             results.append(
                 AcceptanceResult(fn.__name__, False, f"raised {type(exc).__name__}: {exc}", tags)

@@ -47,12 +47,6 @@ def canonical_bases(n: int, bases) -> tuple:
     return best[0]
 
 
-def canonical_matroid(M):
-    from .matroid import Matroid
-
-    return Matroid.from_bases(M.n, canonical_bases(M.n, M.bases), validate=False)
-
-
 def are_isomorphic(n: int, bases_a, bases_b) -> bool:
     """Is there a relabeling of {0..n-1} mapping one basis family onto the other?
 

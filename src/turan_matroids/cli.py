@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from .bitsets import bit_indices, mask_of
 from .extremal import (
+    DEFAULT_MAX_NODES,
     SearchOptions,
     SearchReport,
     search_binary_max_bases,
@@ -166,7 +167,6 @@ def cmd_lagrangian(args) -> int:
         max_iter=args.max_iter,
         restarts=args.restarts,
         seed=args.seed,
-        workers=args.workers,
         bound_t=args.bound_t,
     )
     prec = args.precision
@@ -260,7 +260,7 @@ def cmd_tables(args) -> int:
         s, t = (int(x) for x in args.forbid.split(","))
         lo, hi = (int(x) for x in args.n_range.split(":"))
         writer.writerow(["n", "r", "s", "t", "max_bases", "binomial", "density", "exhaustive"])
-        opts = SearchOptions(max_nodes=args.max_nodes, workers=args.workers)
+        opts = SearchOptions(max_nodes=args.max_nodes)
         for row in density_rows(args.r, s, t, range(lo, hi + 1), opts):
             writer.writerow(
                 [
@@ -308,7 +308,6 @@ def cmd_search(args) -> int:
     s, t = (int(x) for x in args.forbid.split(","))
     opts = SearchOptions(
         max_nodes=args.max_nodes,
-        workers=args.workers,
         witness_cap=args.witness_cap,
         rank3_point_cap=args.rank3_point_cap,
     )
@@ -333,7 +332,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_binary_search(args) -> int:
-    report = search_binary_max_bases(args.r, args.size, witness_cap=args.witness_cap, workers=args.workers)
+    report = search_binary_max_bases(args.r, args.size, witness_cap=args.witness_cap)
     if args.emit_witnesses:
         _emit_witnesses(report, args.emit_witnesses)
     payload = _report_payload(report)
@@ -396,7 +395,7 @@ def cmd_truncation_probe(args) -> int:
 def cmd_verify_theorems(args) -> int:
     from .acceptance import run_suite
 
-    results = run_suite(args.suite, workers=args.workers)
+    results = run_suite(args.suite)
     failed = [r for r in results if not r.passed]
     if getattr(args, "json", False):
         print(
@@ -483,7 +482,6 @@ def build_parser() -> CliParser:
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=lambda v: int(v, 0), default=0x5EED)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--bound-t", type=int, default=None)
     p.add_argument("--exact-bound", action="store_true")
     p.add_argument("--precision", type=int, default=12)
@@ -505,8 +503,7 @@ def build_parser() -> CliParser:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--forbid", default="2,3")
     p.add_argument("--n-range", default="2:6")
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("search", help="exact extremal search")
@@ -514,8 +511,7 @@ def build_parser() -> CliParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--forbid", required=True, help="s,t")
     p.add_argument("--backend", choices=["generic", "rank3"], default="generic")
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p.add_argument("--witness-cap", type=int, default=16)
     p.add_argument("--rank3-point-cap", type=int, default=7)
     p.add_argument("--emit-witnesses", default=None, help="directory for witness files")
@@ -526,7 +522,6 @@ def build_parser() -> CliParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--witness-cap", type=int, default=16)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--emit-witnesses", default=None)
     add_json(p)
     p.set_defaults(func=cmd_binary_search)
@@ -558,7 +553,6 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("verify-theorems", help="run the acceptance suite")
     p.add_argument("--suite", default="all")
-    p.add_argument("--workers", type=int, default=1)
     add_json(p)
     p.set_defaults(func=cmd_verify_theorems)
 

@@ -5,16 +5,14 @@ The generic backend walks all subsets of the r-subsets of [n] in fixed
 lexicographic order, pruning branches that (a) already contain the
 forbidden daisy (daisy presence is monotone under edge insertion) or
 (b) cannot beat the incumbent count.  The exchange property is *not*
-prefix-monotone, so it is tested only on completed families.  The search
-is deterministic: the tree is split at a fixed depth into independent
-subtrees whose reports merge in fixed order, so results and counters do
-not depend on the worker count.
+prefix-monotone, so it is tested only on completed families.  The tree
+is split at a fixed depth into subtrees that run in fixed order under one
+node budget, each getting whatever its predecessors left unspent, so
+results and counters are deterministic.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -41,24 +39,16 @@ from .matroid import (
 )
 from .minors import has_uniform_minor, uniform_minor_oracle
 
-ENV_MAX_NODES = "TURAN_MATROID_MAX_NODES"
 DEFAULT_MAX_NODES = 20_000_000
+SPLIT_DEPTH = 4  # the generic search runs 2**SPLIT_DEPTH prefix subtrees
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    max_nodes: int | None = None
-    workers: int = 1
+    max_nodes: int = DEFAULT_MAX_NODES
     witness_cap: int = 16
-    split_depth: int = 4
     seed_lower_bound: bool = True
     rank3_point_cap: int = 7
-
-    def node_budget(self) -> int:
-        if self.max_nodes is not None:
-            return self.max_nodes
-        env = os.environ.get(ENV_MAX_NODES)
-        return int(env) if env else DEFAULT_MAX_NODES
 
 
 @dataclass(frozen=True)
@@ -159,10 +149,10 @@ def best_known_construction(n: int, r: int, s: int, t: int):
     return best
 
 
-def _subtree_search(args):
-    """DFS one fixed prefix of include/exclude decisions; returns
+def _subtree_search(edges, n, r, s, t, prefix_bits, depth, threshold, budget, cap):
+    """DFS one fixed prefix of include/exclude decisions, visiting at most
+    ``budget`` nodes; returns
     (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted)."""
-    edges, n, r, s, t, prefix_bits, depth, threshold, budget, cap = args
     m = len(edges)
     nodes = 0
     pruned_daisy = 0
@@ -199,10 +189,10 @@ def _subtree_search(args):
         nonlocal nodes, pruned_daisy, pruned_bound, exhausted
         if exhausted:
             return
-        nodes += 1
-        if nodes > budget:
+        if nodes >= budget:
             exhausted = True
             return
+        nodes += 1
         if idx == m:
             leaf()
             return
@@ -229,8 +219,10 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     U(s, t)-minor, with canonical witnesses.
 
     A catalog construction seeds the incumbent when available (it is itself
-    a valid candidate, so ties with it are still collected).  If the node
-    budget runs out the report is partial and exhaustive=False.
+    a valid candidate, so ties with it are still collected).  The prefix
+    subtrees share ``opts.max_nodes`` in fixed order; once it is spent the
+    remaining subtrees are skipped and the report is partial
+    (exhaustive=False).
     """
     opts = opts or SearchOptions()
     if not (1 <= s <= t):
@@ -241,31 +233,28 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
         raise MatroidError("ground set too large")
     edges = [mask_of(c) for c in combinations(range(n), r)]
     m = len(edges)
-    seed = best_known_construction(n, r, s, t) if opts.seed_lower_bound else None
-    threshold = seed.basis_count if seed is not None else 0
     if s > r:
         # no rank-s minor exists; the unrestricted maximum is the uniform matroid
         M = uniform(r, n)
         return SearchReport(n, r, s, t, m, (canonical_of(M),), 1, 0, 0, True)
+    seed = best_known_construction(n, r, s, t) if opts.seed_lower_bound else None
+    threshold = seed.basis_count if seed is not None else 0
 
-    depth = min(opts.split_depth, m)
-    budget = opts.node_budget()
-    share = max(1, budget // (1 << depth))
-    tasks = [
-        (edges, n, r, s, t, prefix, depth, threshold, share, opts.witness_cap)
-        for prefix in range(1 << depth)
-    ]
-    if opts.workers > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            results = list(pool.map(_subtree_search, tasks))
-    else:
-        results = [_subtree_search(task) for task in tasks]
+    depth = min(SPLIT_DEPTH, m)
+    left = opts.max_nodes
+    results = []
+    for prefix in range(1 << depth):
+        if left <= 0:
+            break
+        res = _subtree_search(edges, n, r, s, t, prefix, depth, threshold, left, opts.witness_cap)
+        results.append(res)
+        left -= res[2]
+    exhaustive = len(results) == 1 << depth and not any(res[5] for res in results)
 
-    max_bases = max(res[0] for res in results)
+    max_bases = max((res[0] for res in results), default=threshold)
     nodes = sum(res[2] for res in results)
     pruned_daisy = sum(res[3] for res in results)
     pruned_bound = sum(res[4] for res in results)
-    exhaustive = not any(res[5] for res in results)
     families = []
     for res in results:
         families.extend(fam for fam in res[1] if len(fam) == max_bases)
@@ -339,7 +328,7 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     from .geometry import rank3_from_lines
     from .minors import has_uniform_restriction
 
-    budget = opts.node_budget()
+    budget = opts.max_nodes
     nodes = 0
     pruned_forbidden = 0
     best = 0
@@ -448,7 +437,7 @@ def gf2_rank(vectors) -> int:
     return len(pivots)
 
 
-def search_binary_max_bases(r: int, size: int, witness_cap: int = 16, workers: int = 1) -> SearchReport:
+def search_binary_max_bases(r: int, size: int, witness_cap: int = 16) -> SearchReport:
     """Exhaustive maximum of the basis count over all ``size``-subsets of the
     nonzero vectors of GF(2)^r.
 
@@ -476,16 +465,8 @@ def search_binary_max_bases(r: int, size: int, witness_cap: int = 16, workers: i
     subsets = list(combinations(range(len(vectors)), size))
     subset_masks = np.array([mask_of(c) for c in subsets], dtype=np.int64)
 
-    def count_chunk(chunk):
-        contained = (chunk[:, None] & rsubs[None, :]) == rsubs[None, :]
-        return contained @ basis_flags.astype(np.int64)
-
-    if workers > 1 and len(subsets) > workers:
-        chunks = np.array_split(subset_masks, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = np.concatenate(list(pool.map(count_chunk, chunks)))
-    else:
-        counts = count_chunk(subset_masks)
+    contained = (subset_masks[:, None] & rsubs[None, :]) == rsubs[None, :]
+    counts = contained @ basis_flags.astype(np.int64)
     best = int(counts.max())
     examined = len(subsets)
     champion_sets = []

@@ -17,7 +17,6 @@ the iterate matches it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,15 +114,13 @@ def maximize(
     max_iter: int = 100_000,
     restarts: int = 16,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
     bound_t: int | None = None,
 ) -> LagrangianResult:
     """Maximize p over the simplex; deterministic for fixed arguments.
 
-    Restarts run independently (optionally on a thread pool) and are merged
-    by (value desc, start index asc), so the result does not depend on the
-    worker count.  ``bound_t`` supplies the field-size parameter for the
-    exact certification bound.
+    Restarts run in order from fixed starts and the best is chosen by
+    (value desc, start index asc).  ``bound_t`` supplies the field-size
+    parameter for the exact certification bound.
     """
     if M.r == 0:
         raise MatroidError("rank-0 matroid: every element is a loop")
@@ -134,14 +131,7 @@ def maximize(
         raw = rng.exponential(size=simple.n)
         starts.append(raw / raw.sum())
 
-    def run(x0):
-        return _fixed_point_run(simple, x0, tol, max_iter)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(x0) for x0 in starts]
+    outcomes = [_fixed_point_run(simple, x0, tol, max_iter) for x0 in starts]
 
     best_idx = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))
     value, x_simple, iterations, converged = outcomes[best_idx]

@@ -3,7 +3,7 @@
 The ground set is {0, ..., n-1} with n <= 64, so every subset is a plain
 int bitmask and subset operations are single machine-word operations.
 Matroid values are immutable; every operation is a pure function returning
-a new value, safe to call from concurrent workers.
+a new value.
 
 Bases are stored sorted by bitmask value, which makes equality, hashing
 and serialization canonical for a fixed labeling.
@@ -105,10 +105,6 @@ def rank_of(M: Matroid, X: int) -> int:
     """Rank of X: largest part of X contained in a basis."""
     _check_subset(M, X)
     return max(popcount(X & b) for b in M.bases)
-
-
-def is_independent(M: Matroid, X: int) -> bool:
-    return rank_of(M, X) == popcount(X)
 
 
 def closure(M: Matroid, X: int) -> int:

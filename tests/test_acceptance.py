@@ -4,8 +4,6 @@ Each test prints one PASS/FAIL line (visible under pytest -s or in the
 CLI's verify-theorems command, which runs the same checks).
 """
 
-import inspect
-
 import pytest
 
 from turan_matroids.acceptance import CRITERIA
@@ -15,7 +13,6 @@ from turan_matroids.acceptance import CRITERIA
     "criterion", [fn for fn, _tags in CRITERIA], ids=[fn.__name__ for fn, _tags in CRITERIA]
 )
 def test_criterion(criterion):
-    kwargs = {"workers": 1} if "workers" in inspect.signature(criterion).parameters else {}
-    result = criterion(**kwargs)
+    result = criterion()
     print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"

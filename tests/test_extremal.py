@@ -77,16 +77,16 @@ def test_search_budget_marks_partial():
     assert not report.exhaustive
 
 
-def test_node_budget_env_override(monkeypatch):
-    monkeypatch.setenv("TURAN_MATROID_MAX_NODES", "64")
-    report = search_ex(6, 2, 2, 3, SearchOptions())
+def test_search_budget_is_global():
+    # the full search visits 229,385 nodes; any budget that covers them is
+    # exhaustive, however the prefix subtrees split the work
+    for budget in (240_000, 229_385):
+        report = search_ex(6, 3, 3, 4, SearchOptions(max_nodes=budget))
+        assert report.exhaustive
+        assert report.nodes_explored == 229_385
+        assert report.max_bases == 12
+    report = search_ex(6, 3, 3, 4, SearchOptions(max_nodes=229_384))
     assert not report.exhaustive
-
-
-def test_search_workers_identical_reports():
-    a = search_ex(6, 2, 2, 3, SearchOptions(workers=1))
-    b = search_ex(6, 2, 2, 3, SearchOptions(workers=4))
-    assert a == b
 
 
 def test_best_known_construction_examples():

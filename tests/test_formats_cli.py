@@ -239,7 +239,7 @@ def test_cli_verify_theorems_suite():
 def test_cli_verify_theorems_failure_exits_2(monkeypatch):
     from turan_matroids import acceptance
 
-    def fake_run_suite(suite="all", workers=1):
+    def fake_run_suite(suite="all"):
         return [acceptance.AcceptanceResult("synthetic", False, "forced failure", ("all",))]
 
     monkeypatch.setattr(acceptance, "run_suite", fake_run_suite)

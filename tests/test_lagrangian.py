@@ -150,11 +150,3 @@ def test_bound_holds_for_minor_free_families():
     for M, r, t in cases:
         res = maximize(M)
         assert res.value <= float(u2_lagrangian_bound(r, t)) + 1e-9
-
-
-def test_workers_do_not_change_results():
-    pg = projective_geometry(3, 2)
-    a = maximize(pg, workers=1, bound_t=2)
-    b = maximize(pg, workers=4, bound_t=2)
-    assert a.value == b.value
-    assert np.array_equal(a.argmax, b.argmax)
