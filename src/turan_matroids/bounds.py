@@ -8,6 +8,7 @@ rational expression for every integer t >= 2).
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from math import comb, factorial
 
@@ -47,6 +48,14 @@ def u2_max_bases_bound(n: int, r: int, t: int) -> Fraction:
     if n < r:
         raise MatroidError("need n >= r")
     return projective_basis_count(r, t) * Fraction(n * (t - 1), t**r - 1) ** r
+
+
+def u2_lagrangian_bound(r: int, t: int) -> Fraction:
+    """Exact bound b(r,t) ((t-1)/(t^r-1))^r on the Lagrangian of any rank-r
+    matroid with no U(2,t+2)-minor."""
+    if r < 1 or t < 2:
+        raise MatroidError("need r >= 1 and t >= 2")
+    return projective_basis_count(r, t) * Fraction(t - 1, t**r - 1) ** r
 
 
 def u2_density(r: int, q: int) -> Fraction:
@@ -160,25 +169,6 @@ def rank3_lower_even(m: int) -> Fraction:
     return Fraction(4 * m**4, (2 * m * m + 1) ** 2)
 
 
-CLOSED_FORMS = {
-    "ex_u1": ex_u1,
-    "ex_u23": ex_u23,
-    "pi_u34": pi_u34,
-    "ex_u34_even": ex_u34_even,
-    "ex_u34_odd_leading": ex_u34_odd_leading,
-    "ex_u35": ex_u35,
-    "pi_u35": pi_u35,
-    "rank3_lower_odd": rank3_lower_odd,
-    "rank3_lower_even": rank3_lower_even,
-}
-
-
-def closed_form(selector: str, **params) -> Fraction:
-    if selector not in CLOSED_FORMS:
-        raise MatroidError(f"unknown selector {selector!r}; choose from {sorted(CLOSED_FORMS)}")
-    return CLOSED_FORMS[selector](**params)
-
-
 def largest_prime_power_leq(t: int) -> int:
     if t < 2:
         raise MatroidError("need t >= 2")
@@ -208,3 +198,47 @@ def prime_band(r: int, t: int, c: Fraction = Fraction(1)):
     t_pow = Fraction(int(t ** float(2 - THETA) * scale), scale)
     upper = lower + Fraction(c) * factorial(r) / t_pow
     return lower, upper, q
+
+
+# Every ``bounds`` selector of the command line, with the evaluator it runs.
+# An evaluator's parameters are the selector's parameters; all but
+# euler_product and prime_band return one Fraction.
+CLOSED_FORMS = {
+    "b": projective_basis_count,
+    "kung": lambda r, t: Fraction(kung_point_bound(r, t)),
+    "ex_upper_u2": u2_max_bases_bound,
+    "density_u2": u2_density,
+    "lagrangian_u2": u2_lagrangian_bound,
+    "euler_product": lambda q: euler_product_interval(q),
+    "prime_band": prime_band,
+    "ex_u1": ex_u1,
+    "ex_u23": ex_u23,
+    "pi_u34": pi_u34,
+    "ex_u34_even": ex_u34_even,
+    "ex_u34_odd_leading": ex_u34_odd_leading,
+    "ex_u35": ex_u35,
+    "pi_u35": pi_u35,
+    "rank3_lower_odd": rank3_lower_odd,
+    "rank3_lower_even": rank3_lower_even,
+}
+
+
+def closed_form(selector: str, **params):
+    """Evaluate ``selector`` with ``params`` bound to its evaluator's
+    parameters; a missing or unused parameter is a MatroidError."""
+    if selector not in CLOSED_FORMS:
+        raise MatroidError(f"unknown selector {selector!r}; choose from {sorted(CLOSED_FORMS)}")
+    evaluator = CLOSED_FORMS[selector]
+    signature = inspect.signature(evaluator)
+    try:
+        signature.bind(**params)
+    except TypeError:
+        names = ", ".join(
+            name if p.default is p.empty else f"[{name}]"
+            for name, p in signature.parameters.items()
+        )
+        raise MatroidError(
+            f"selector {selector!r} takes {names or 'no parameters'};"
+            f" got {', '.join(params) or 'none'}"
+        ) from None
+    return evaluator(**params)

@@ -44,7 +44,7 @@ from .geometry import (
     two_disjoint_lines,
     uniform,
 )
-from .lagrangian import maximize, u2_lagrangian_bound
+from .lagrangian import maximize
 from .matroid import Matroid, MatroidError, parallel_blowup
 from .minors import has_uniform_minor, has_uniform_restriction
 from .rank3 import (
@@ -193,56 +193,45 @@ def cmd_lagrangian(args) -> int:
     return 0
 
 
-_BOUND_PARAM_NAMES = ("n", "r", "s", "t", "q", "m", "c")
+_BOUND_PARAM_NAMES = ("n", "r", "t", "q", "m", "c")  # every bounds evaluator parameter
+
+
+def _value_output(value: Fraction):
+    return {"value": _frac_str(value), "decimal": float(value)}, [
+        f"{_frac_str(value)} ~ {float(value):.12f}"
+    ]
+
+
+def _interval_output(interval):
+    lo, hi = interval
+    payload = {"lower": _frac_str(lo), "upper": _frac_str(hi), "decimal": float((lo + hi) / 2)}
+    return payload, [f"interval [{_frac_str(lo)}, {_frac_str(hi)}]", f"~ {float(lo):.12f}"]
+
+
+def _band_output(band):
+    lo, hi, q = band
+    payload = {
+        "q": q,
+        "lower": _frac_str(lo),
+        "upper": _frac_str(hi),
+        "width_note": "heuristic width",
+    }
+    return payload, [
+        f"q {q}",
+        f"lower {_frac_str(lo)} ~ {float(lo):.9f}",
+        f"upper {_frac_str(hi)} ~ {float(hi):.9f} (heuristic width)",
+    ]
+
+
+# selectors whose evaluator returns more than one Fraction
+_BOUND_OUTPUT = {"euler_product": _interval_output, "prime_band": _band_output}
 
 
 def cmd_bounds(args) -> int:
     params = {k: getattr(args, k) for k in _BOUND_PARAM_NAMES if getattr(args, k) is not None}
-    sel = args.selector
-    if sel in bounds_mod.CLOSED_FORMS:
-        value = bounds_mod.closed_form(sel, **params)
-    elif sel == "b":
-        value = bounds_mod.projective_basis_count(params["r"], params["t"])
-    elif sel == "kung":
-        value = Fraction(bounds_mod.kung_point_bound(params["r"], params["t"]))
-    elif sel == "ex_upper_u2":
-        value = bounds_mod.u2_max_bases_bound(params["n"], params["r"], params["t"])
-    elif sel == "density_u2":
-        value = bounds_mod.u2_density(params["r"], params["q"])
-    elif sel == "lagrangian_u2":
-        value = u2_lagrangian_bound(params["r"], params["t"])
-    elif sel == "euler_product":
-        lo, hi = bounds_mod.euler_product_interval(params["q"])
-        payload = {
-            "selector": sel,
-            "lower": _frac_str(lo),
-            "upper": _frac_str(hi),
-            "decimal": float((lo + hi) / 2),
-        }
-        _print_result(
-            args, payload, [f"interval [{_frac_str(lo)}, {_frac_str(hi)}]", f"~ {float(lo):.12f}"]
-        )
-        return 0
-    elif sel == "prime_band":
-        lo, hi, q = bounds_mod.prime_band(params["r"], params["t"])
-        payload = {
-            "selector": sel,
-            "q": q,
-            "lower": _frac_str(lo),
-            "upper": _frac_str(hi),
-            "width_note": "heuristic width",
-        }
-        _print_result(
-            args,
-            payload,
-            [f"q {q}", f"lower {_frac_str(lo)} ~ {float(lo):.9f}",
-             f"upper {_frac_str(hi)} ~ {float(hi):.9f} (heuristic width)"],
-        )
-        return 0
-    else:
-        raise MatroidError(f"unknown selector {sel!r}")
-    payload = {"selector": sel, "value": _frac_str(value), "decimal": float(value)}
-    _print_result(args, payload, [f"{_frac_str(value)} ~ {float(value):.12f}"])
+    value = bounds_mod.closed_form(args.selector, **params)
+    payload, lines = _BOUND_OUTPUT.get(args.selector, _value_output)(value)
+    _print_result(args, {"selector": args.selector, **payload}, lines)
     return 0
 
 
@@ -490,7 +479,7 @@ def build_parser() -> CliParser:
     p.set_defaults(func=cmd_lagrangian)
 
     p = sub.add_parser("bounds", help="exact rational bound evaluators")
-    p.add_argument("selector")
+    p.add_argument("selector", choices=list(bounds_mod.CLOSED_FORMS))
     for name in _BOUND_PARAM_NAMES:
         p.add_argument(f"--{name}", type=int, default=None)
     add_json(p)

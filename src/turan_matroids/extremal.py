@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 from .bitsets import bit_indices, mask_of, popcount
-from .canonical import canonical_bases, dedupe_isomorphic
+from .canonical import dedupe_isomorphic
 from .fields import is_prime_power
 from .bounds import largest_prime_power_leq
 from .geometry import (
@@ -47,7 +47,6 @@ SPLIT_DEPTH = 4  # the generic search runs 2**SPLIT_DEPTH prefix subtrees
 class SearchOptions:
     max_nodes: int = DEFAULT_MAX_NODES
     witness_cap: int = 16
-    seed_lower_bound: bool = True
     rank3_point_cap: int = 7
 
 
@@ -235,9 +234,9 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     m = len(edges)
     if s > r:
         # no rank-s minor exists; the unrestricted maximum is the uniform matroid
-        M = uniform(r, n)
-        return SearchReport(n, r, s, t, m, (canonical_of(M),), 1, 0, 0, True)
-    seed = best_known_construction(n, r, s, t) if opts.seed_lower_bound else None
+        witnesses = _witnesses(n, [uniform(r, n).bases], opts.witness_cap)
+        return SearchReport(n, r, s, t, m, witnesses, 1, 0, 0, True)
+    seed = best_known_construction(n, r, s, t)
     threshold = seed.basis_count if seed is not None else 0
 
     depth = min(SPLIT_DEPTH, m)
@@ -258,17 +257,21 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     families = []
     for res in results:
         families.extend(fam for fam in res[1] if len(fam) == max_bases)
-    canon = dedupe_isomorphic(n, families, cap=opts.witness_cap)
-    witnesses = tuple(Matroid.from_bases(n, c, validate=False) for c in canon)
-    if not witnesses and seed is not None and seed.basis_count == max_bases:
-        witnesses = (canonical_of(seed),)
+    if not families and seed is not None and seed.basis_count == max_bases:
+        families = [seed.bases]
+    witnesses = _witnesses(n, families, opts.witness_cap)
     return SearchReport(
         n, r, s, t, max_bases, witnesses, nodes, pruned_daisy, pruned_bound, exhaustive
     )
 
 
-def canonical_of(M: Matroid) -> Matroid:
-    return Matroid.from_bases(M.n, canonical_bases(M.n, M.bases), validate=False)
+def _witnesses(n: int, families, cap: int) -> tuple:
+    """Witness matroids on [n]: the canonical forms of at most ``cap``
+    pairwise non-isomorphic families."""
+    return tuple(
+        Matroid.from_bases(n, key, validate=False)
+        for key in dedupe_isomorphic(n, families, cap=cap)
+    )
 
 
 def exhaustive_oracle_max_bases(n: int, r: int, s: int, t: int):
@@ -417,80 +420,46 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
         dfs(0, [], False)
 
     exhaustive = (p_cap >= n) and not exhausted
-    canon = dedupe_isomorphic(n, champions, cap=opts.witness_cap)
-    witnesses = tuple(Matroid.from_bases(n, c, validate=False) for c in canon)
+    witnesses = _witnesses(n, champions, opts.witness_cap)
     return SearchReport(
         n, 3, s, t, best, witnesses, nodes, pruned_forbidden, 0, exhaustive
     )
-
-
-def gf2_rank(vectors) -> int:
-    """Rank over GF(2) of int-encoded vectors (greedy xor basis)."""
-    pivots = []
-    for v in vectors:
-        for p in pivots:
-            if v ^ p < v:
-                v ^= p
-        if v:
-            pivots.append(v)
-            pivots.sort(reverse=True)
-    return len(pivots)
 
 
 def search_binary_max_bases(r: int, size: int, witness_cap: int = 16) -> SearchReport:
     """Exhaustive maximum of the basis count over all ``size``-subsets of the
     nonzero vectors of GF(2)^r.
 
-    Bases are r-subsets of full GF(2) rank, counted against a precomputed
-    rank table of all r-subsets.  Also reports whether a flat-complement
+    Element i of ``projective_geometry(r, 2)`` is the vector i + 1 (read
+    most-significant bit first), so a subset of positions spans the bases of
+    the geometry that it contains.  Also reports whether a flat-complement
     (Bose-Burton) subset attains the maximum when ``size`` matches one.
     """
     import numpy as np
 
-    if r > 4:
-        raise MatroidError("exhaustive binary search supported for r <= 4")
-    vectors = list(range(1, 1 << r))
-    if not 1 <= size <= len(vectors):
-        raise MatroidError("size out of range")
-    vec_pos = {v: i for i, v in enumerate(vectors)}
-    rsub_masks = []
-    rsub_is_basis = []
-    rsub_combos = []
-    for combo in combinations(vectors, r):
-        rsub_masks.append(mask_of(vec_pos[v] for v in combo))
-        rsub_is_basis.append(gf2_rank(combo) == r)
-        rsub_combos.append(combo)
-    rsubs = np.array(rsub_masks, dtype=np.int64)
-    basis_flags = np.array(rsub_is_basis)
-    subsets = list(combinations(range(len(vectors)), size))
+    if not 1 <= r <= 4:
+        raise MatroidError("exhaustive binary search supported for 1 <= r <= 4")
+    if not r <= size < 1 << r:
+        raise MatroidError(f"size must be in {r}..{(1 << r) - 1} for r = {r}")
+    pg = projective_geometry(r, 2)
+    basis_set = set(pg.bases)
+    bases = np.array(pg.bases, dtype=np.int64)
+    subsets = list(combinations(range(pg.n), size))
     subset_masks = np.array([mask_of(c) for c in subsets], dtype=np.int64)
 
-    contained = (subset_masks[:, None] & rsubs[None, :]) == rsubs[None, :]
-    counts = contained @ basis_flags.astype(np.int64)
+    counts = ((subset_masks[:, None] & bases[None, :]) == bases[None, :]).sum(axis=1)
     best = int(counts.max())
-    examined = len(subsets)
-    champion_sets = []
     scan_cap = max(64, 8 * witness_cap)  # cap applies to canonical forms, so overscan
-    for idx in np.flatnonzero(counts == best):
-        champion_sets.append(tuple(vectors[i] for i in subsets[idx]))
-        if len(champion_sets) >= scan_cap:
-            break
-    is_basis = dict(zip(rsub_combos, rsub_is_basis))
-
     champion_families = []
-    for subset in champion_sets:
-        pos = {v: i for i, v in enumerate(subset)}
+    for idx in np.flatnonzero(counts == best)[:scan_cap]:
+        subset = subsets[idx]
         champion_families.append(
             tuple(
-                mask_of(pos[v] for v in combo)
-                for combo in combinations(subset, r)
-                if is_basis[combo]
+                mask_of(local)
+                for local in combinations(range(size), r)
+                if mask_of(subset[i] for i in local) in basis_set
             )
         )
-    witnesses = [
-        Matroid.from_bases(size, key, validate=False)
-        for key in dedupe_isomorphic(size, champion_families, cap=witness_cap)
-    ]
 
     bb_attains = None
     for c in range(1, r):
@@ -504,8 +473,8 @@ def search_binary_max_bases(r: int, size: int, witness_cap: int = 16) -> SearchR
         s=2,
         t=4,
         max_bases=best,
-        witnesses=tuple(witnesses),
-        nodes_explored=examined,
+        witnesses=_witnesses(size, champion_families, witness_cap),
+        nodes_explored=len(subsets),
         pruned_daisy=0,
         pruned_bound=0,
         exhaustive=True,

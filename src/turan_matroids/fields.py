@@ -118,16 +118,10 @@ class GaloisField:
     def mul(self, a, b):
         return self.mul_table[a][b]
 
-    def neg(self, a):
-        return self.neg_table[a]
-
     def inv(self, a):
         if a == 0:
             raise FieldError("zero has no inverse")
         return self.inv_table[a]
-
-    def elements(self):
-        return range(self.q)
 
 
 def _encode(coeffs, p, k):

@@ -20,7 +20,7 @@ import json
 
 from .bitsets import bit_indices, mask_of, popcount
 from .hypergraphs import UniformHypergraph
-from .matroid import Matroid, MatroidError, exchange_violation
+from .matroid import Matroid, MatroidError
 
 
 class ParseError(MatroidError):
@@ -108,20 +108,6 @@ def _parse_body(lines, magic, key2, count_word):
     return n, r, masks
 
 
-def _check_exchange(n, masks, source="input"):
-    if not masks:
-        raise MatroidError(f"{source}: bases must be nonempty")
-    witness = exchange_violation(n, masks)
-    if witness is not None:
-        kind, b1, b2 = witness[0], witness[1], witness[2]
-        if kind == "exchange":
-            raise MatroidError(
-                f"{source}: basis-exchange fails for pair {_indices(b1)} / {_indices(b2)}"
-                f" at element {witness[3]}"
-            )
-        raise MatroidError(f"{source}: invalid basis family ({kind} violation)")
-
-
 def parse_matroid(text: str) -> Matroid:
     """Parse MATROID v1 or its JSON mirror; validates the exchange property."""
     stripped = text.lstrip()
@@ -141,11 +127,9 @@ def parse_matroid(text: str) -> Matroid:
             if len(set(row)) != len(row) or len(row) != r:
                 raise MatroidError(f"row {row!r} is not an r-set")
             masks.append(mask_of(row))
-        _check_exchange(n, masks, "JSON input")
-        return Matroid.from_bases(n, masks, validate=False)
+        return Matroid.from_bases(n, masks)
     n, r, masks = _parse_body(_content_lines(text), "MATROID v1", "r", "bases")
-    _check_exchange(n, masks)
-    return Matroid.from_bases(n, masks, validate=False)
+    return Matroid.from_bases(n, masks)
 
 
 def parse_matroid_file(path) -> Matroid:

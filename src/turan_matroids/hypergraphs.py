@@ -47,10 +47,6 @@ def basis_hypergraph(M: Matroid) -> UniformHypergraph:
     return UniformHypergraph(M.n, M.r, M.bases)
 
 
-def matroid_from_hypergraph(H: UniformHypergraph) -> Matroid:
-    return Matroid.from_bases(H.v, H.edges)
-
-
 def hypergraph_is_matroidal(H: UniformHypergraph) -> bool:
     """True when the edge family satisfies the basis-exchange property."""
     if not H.edges:

@@ -23,19 +23,11 @@ from fractions import Fraction
 import numpy as np
 
 from .bitsets import bit_indices
-from .bounds import projective_basis_count
+from .bounds import u2_lagrangian_bound
 from .matroid import Matroid, MatroidError, simplify
 
 DEFAULT_SEED = 0x5EED
 FREEZE_EPS = 1e-15
-
-
-def u2_lagrangian_bound(r: int, t: int) -> Fraction:
-    """Exact bound b(r,t) ((t-1)/(t^r-1))^r on the Lagrangian of any rank-r
-    matroid with no U(2,t+2)-minor."""
-    if r < 1 or t < 2:
-        raise MatroidError("need r >= 1 and t >= 2")
-    return projective_basis_count(r, t) * Fraction(t - 1, t**r - 1) ** r
 
 
 def poly_eval(M: Matroid, x) -> float:

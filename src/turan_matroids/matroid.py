@@ -78,7 +78,13 @@ class Matroid:
         if validate:
             witness = exchange_violation(n, members)
             if witness is not None:
-                raise MatroidError(f"not a basis family: {witness[0]} violation")
+                kind, b1, b2 = witness[:3]
+                if kind == "exchange":
+                    raise MatroidError(
+                        f"basis-exchange fails for pair {list(bit_indices(b1))}"
+                        f" / {list(bit_indices(b2))} at element {witness[3]}"
+                    )
+                raise MatroidError(f"invalid basis family ({kind} violation)")
         return cls(n, popcount(members[0]), members)
 
     @property
@@ -91,9 +97,6 @@ class Matroid:
 
     def is_basis(self, mask: int) -> bool:
         return mask in set(self.bases)
-
-    def elements(self):
-        return range(self.n)
 
 
 def _check_subset(M: Matroid, X: int):
@@ -184,13 +187,6 @@ class SimplificationMap:
     loops: int
     classes: tuple
     representatives: tuple
-
-    def class_of(self, e: int) -> int:
-        bit = 1 << e
-        for c in self.classes:
-            if c & bit:
-                return c
-        raise MatroidError(f"element {e} is a loop or out of range")
 
     @property
     def is_trivial(self) -> bool:

@@ -24,20 +24,6 @@ class TheoremViolation(AssertionError):
     """A verified-certificate check failed; this would falsify a theorem."""
 
 
-def _restriction_lines(M: Matroid, ground: int):
-    """Lines of M restricted to ``ground``, as masks inside the original
-    labeling (only the part lying in ``ground``)."""
-    elems = [e for e in range(M.n) if ground >> e & 1]
-    from .matroid import closure, rank_of
-
-    seen = set()
-    for a, b in combinations(elems, 2):
-        pair = (1 << a) | (1 << b)
-        if rank_of(M, pair) == 2:
-            seen.add(closure(M, pair) & ground)
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
 class Rank3Decomposition:
     k: int
@@ -100,6 +86,9 @@ def decompose_rank3(M: Matroid, m: int, parity: str) -> Rank3Decomposition:
     if has_uniform_restriction(M, 3, forbid)[0]:
         raise MatroidError(f"matroid has a free rank-3 restriction on {forbid} elements")
 
+    # M is simple, so the lines of M|remaining are the traces ln & remaining
+    # that keep at least two points; every threshold is above two
+    all_lines = lines_of(M)
     bumps = (0,) if parity == "odd" else (0, 1, 2, 3)
     last_failure = None
     for bump in bumps:
@@ -107,9 +96,9 @@ def decompose_rank3(M: Matroid, m: int, parity: str) -> Rank3Decomposition:
         lines = []
         for i in range(1, m + 1):
             need = _threshold(m, i, parity, bump)
-            if popcount(remaining) < 2:
-                break
-            candidates = [ln for ln in _restriction_lines(M, remaining) if popcount(ln) >= need]
+            candidates = {
+                ln & remaining for ln in all_lines if popcount(ln & remaining) >= need
+            }
             if not candidates:
                 break
             best = max(candidates, key=lambda ln: (popcount(ln), -ln))

@@ -6,11 +6,11 @@ import pytest
 
 from turan_matroids.bitsets import popcount
 from turan_matroids.bounds import ex_u35
+from turan_matroids.canonical import dedupe_isomorphic
 from turan_matroids.extremal import (
     SearchOptions,
     best_known_construction,
     exhaustive_oracle_max_bases,
-    gf2_rank,
     search_binary_max_bases,
     search_ex,
     search_ex_rank3,
@@ -50,11 +50,14 @@ def test_search_matches_plain_oracle_small():
         assert report.exhaustive
 
 
-def test_search_without_seed_agrees():
-    plain = search_ex(5, 2, 2, 3, SearchOptions(seed_lower_bound=False))
-    seeded = search_ex(5, 2, 2, 3)
-    assert plain.max_bases == seeded.max_bases
-    assert plain.witnesses == seeded.witnesses
+def test_search_witnesses_match_oracle_classes():
+    # one witness per isomorphism class of the brute-force champions
+    cells = {(4, 2, 2, 3): 1, (5, 2, 2, 3): 1, (4, 2, 2, 4): 1, (5, 3, 3, 4): 2, (5, 2, 2, 4): 1}
+    for (n, r, s, t), classes in cells.items():
+        _, champions = exhaustive_oracle_max_bases(n, r, s, t)
+        expected = dedupe_isomorphic(n, [M.bases for M in champions], cap=16)
+        assert len(expected) == classes
+        assert [w.bases for w in search_ex(n, r, s, t).witnesses] == expected
 
 
 def test_search_witnesses_are_valid():
@@ -117,12 +120,6 @@ def test_rank3_backend_rejects_bad_parameters():
         search_ex_rank3(6, 3, 3)
 
 
-def test_gf2_rank():
-    assert gf2_rank([1, 2, 4, 8]) == 4
-    assert gf2_rank([1, 2, 3]) == 2
-    assert gf2_rank([0, 5, 5]) == 1
-
-
 def test_binary_search_r3():
     rep = search_binary_max_bases(3, 4)
     assert rep.max_bases == 4 and rep.bose_burton_attains
@@ -136,8 +133,35 @@ def test_binary_search_r3():
 def test_binary_search_guards():
     with pytest.raises(MatroidError):
         search_binary_max_bases(5, 10)
-    with pytest.raises(MatroidError):
-        search_binary_max_bases(3, 9)
+    for size in (2, 8, 9):
+        with pytest.raises(MatroidError, match=r"size must be in 3\.\.7"):
+            search_binary_max_bases(3, size)
+
+
+# size: (max_bases, subsets examined, bose_burton_attains, witness bases)
+BINARY_R4 = {
+    4: (1, 1365, None, (15,)),
+    5: (5, 3003, None, (15, 23, 27, 29, 30)),
+    6: (12, 5005, None, (15, 23, 27, 29, 39, 43, 46, 53, 54, 57, 58, 60)),
+    7: (28, 6435, None, (
+        15, 23, 27, 29, 39, 43, 46, 53, 54, 57, 58, 60, 71, 77, 78, 83, 86, 89, 90, 92,
+        99, 101, 105, 106, 108, 113, 114, 116,
+    )),
+    8: (56, 6435, True, (
+        15, 23, 27, 29, 39, 43, 46, 53, 54, 57, 58, 60, 71, 77, 78, 83, 86, 89, 90, 92,
+        99, 101, 105, 106, 108, 113, 114, 116, 139, 141, 142, 147, 149, 150, 154, 156,
+        163, 165, 166, 169, 172, 177, 178, 184, 195, 197, 198, 201, 202, 209, 212, 216,
+        226, 228, 232, 240,
+    )),
+}
+
+
+def test_binary_search_r4_pinned():
+    for size, (best, examined, bb_attains, witness) in BINARY_R4.items():
+        rep = search_binary_max_bases(4, size)
+        assert (rep.max_bases, rep.nodes_explored) == (best, examined)
+        assert rep.bose_burton_attains is bb_attains
+        assert [w.bases for w in rep.witnesses] == [witness]
 
 
 def test_truncation_probes():

@@ -5,9 +5,11 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from turan_matroids.bounds import prime_band
 from turan_matroids.cli import main
 from turan_matroids.formats import (
     ParseError,
@@ -127,6 +129,31 @@ def test_cli_bounds_selectors():
     assert code == 0 and out.startswith("4/9")
     code, out = run_cli(["bounds", "ex_upper_u2", "--n", "14", "--r", "3", "--t", "2"])
     assert code == 0 and out.startswith("224")
+    # --c sets the heuristic constant of the prime band
+    _, hi, _ = prime_band(3, 6, Fraction(2))
+    code, out = run_cli(["bounds", "prime_band", "--r", "3", "--t", "6", "--c", "2", "--json"])
+    assert code == 0 and json.loads(out)["upper"] == f"{hi.numerator}/{hi.denominator}"
+
+
+def test_cli_bounds_bad_parameters_exit_1(capsys):
+    # a missing or unused parameter is an error naming the selector's parameters
+    cases = {
+        ("ex_u1", "--n", "5"): "takes n, r, t",
+        ("pi_u35", "--r", "3"): "takes no parameters",
+        ("b", "--r", "3"): "takes r, t",
+        ("prime_band", "--r", "3", "--t", "6", "--q", "5"): "takes r, t, [c]",
+    }
+    for argv, message in cases.items():
+        code, out = run_cli(["bounds", *argv])
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_cli_binary_search_size_out_of_range(capsys):
+    code, out = run_cli(["binary-search", "--r", "3", "--size", "2"])
+    assert code == 1 and out == ""
+    assert "size must be in 3..7" in capsys.readouterr().err
 
 
 def test_cli_lagrangian_certified():
