@@ -187,7 +187,12 @@ def cmd_lagrangian(args) -> int:
         if args.exact_bound and res.exact_bound is not None:
             payload["exact_bound"] = _frac_str(res.exact_bound)
             lines.append(f"exact-bound {_frac_str(res.exact_bound)}")
-    lines.append("certified" if res.certified else "lower-bound-only")
+        if not res.bound_applies:
+            payload["bound_applies"] = False
+    if res.certified:
+        lines.append("certified")
+    else:
+        lines.append("lower-bound-only" if res.bound_applies else "bound-not-applicable")
     lines.append("argmax " + " ".join(f"{float(x):.{prec}f}" for x in res.argmax))
     _print_result(args, payload, lines)
     return 0

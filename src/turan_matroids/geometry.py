@@ -14,7 +14,7 @@ from math import comb
 
 from .bitsets import bit_indices, mask_of
 from .fields import GaloisField, make_field
-from .matroid import MAX_GROUND_SET, Matroid, MatroidError, parallel_blowup
+from .matroid import MAX_GROUND_SET, Matroid, MatroidError
 
 
 def projective_points(r: int, q: int):
@@ -193,26 +193,6 @@ def rank3_from_lines(p: int, lines) -> Matroid:
     if not bases:
         raise MatroidError("every triple is collinear; rank is below 3")
     return Matroid.from_bases(p, bases, validate=False)
-
-
-def multiline_with_blowup(line_sizes, parallel_class: int) -> Matroid:
-    """Same matroid as rank3_multiline, built as a one-point blow-up.
-
-    Used as an independent cross-check of the direct enumeration: the
-    parallel class is realized by blowing up a single extra point.
-    """
-    sizes = list(line_sizes)
-    if parallel_class == 0:
-        return rank3_multiline(sizes, 0, simple_lines=False)
-    p = sum(sizes) + 1
-    lines = []
-    offset = 0
-    for s in sizes:
-        if s >= 3:
-            lines.append(mask_of(range(offset, offset + s)))
-        offset += s
-    simple = rank3_from_lines(p, lines)
-    return parallel_blowup(simple, [1] * (p - 1) + [parallel_class])
 
 
 def lines_of(M: Matroid):

@@ -54,24 +54,6 @@ def hypergraph_is_matroidal(H: UniformHypergraph) -> bool:
     return validate_exchange(H.v, H.edges)
 
 
-def matroidal_local_diagnostic(H: UniformHypergraph) -> bool:
-    """Check matroidality through induced subgraphs on at most 2k vertices.
-
-    Edgeless induced subgraphs are vacuously fine; they arise from every
-    hypergraph and forbid nothing.  Intended for small v only.
-    """
-    if not H.edges:
-        raise MatroidError("empty edge set")
-    limit = min(H.v, 2 * H.k)
-    for size in range(H.k, limit + 1):
-        for combo in combinations(range(H.v), size):
-            w = mask_of(combo)
-            inside = [e for e in H.edges if e & w == e]
-            if inside and not validate_exchange(H.v, inside):
-                return False
-    return True
-
-
 def suspension(H: UniformHypergraph, r: int) -> UniformHypergraph:
     """Add r-k fresh stem vertices (labeled v..v+r-k-1) to every edge."""
     if r < H.k:

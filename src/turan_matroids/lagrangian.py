@@ -11,7 +11,9 @@ optimal weights are placed on class representatives.
 There is no global-optimality guarantee from the iteration itself; when the
 caller supplies the field-size parameter t of a known minor-free family,
 the exact upper bound b(r,t)((t-1)/(t^r-1))^r certifies optimality whenever
-the iterate matches it.
+the iterate matches it.  A value above that bound is explained only by a
+U(2,t+2)-minor, the minor the bound excludes; without one it falsifies the
+bound and raises TheoremViolation.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 from .bitsets import bit_indices
 from .bounds import u2_lagrangian_bound
 from .matroid import Matroid, MatroidError, simplify
+from .minors import has_uniform_minor
+from .rank3 import TheoremViolation
 
 DEFAULT_SEED = 0x5EED
 FREEZE_EPS = 1e-15
@@ -72,6 +76,7 @@ class LagrangianResult:
     bound: float | None = None
     exact_bound: Fraction | None = None
     certified: bool = False
+    bound_applies: bool = True
 
 
 def _fixed_point_run(M: Matroid, x0, tol, max_iter):
@@ -112,7 +117,9 @@ def maximize(
 
     Restarts run in order from fixed starts and the best is chosen by
     (value desc, start index asc).  ``bound_t`` supplies the field-size
-    parameter for the exact certification bound.
+    parameter for the exact certification bound.  A value above the bound
+    sets ``bound_applies`` to False when M has a U(2, bound_t+2)-minor and
+    raises TheoremViolation when it has none.
     """
     if M.r == 0:
         raise MatroidError("rank-0 matroid: every element is a loop")
@@ -136,10 +143,18 @@ def maximize(
     exact_bound = None
     bound = None
     certified = False
+    bound_applies = True
     if bound_t is not None:
         exact_bound = u2_lagrangian_bound(M.r, bound_t)
         bound = float(exact_bound)
         certified = abs(value - bound) < 1e-9
+        if value > bound + 1e-9:
+            if not has_uniform_minor(M, 2, bound_t + 2)[0]:
+                raise TheoremViolation(
+                    f"Lagrangian {value!r} exceeds the bound {bound!r} for t = {bound_t},"
+                    f" yet there is no U(2,{bound_t + 2})-minor"
+                )
+            bound_applies = False
     return LagrangianResult(
         value=value,
         argmax=argmax,
@@ -149,25 +164,5 @@ def maximize(
         bound=bound,
         exact_bound=exact_bound,
         certified=certified,
+        bound_applies=bound_applies,
     )
-
-
-def grid_search_2simplex(M: Matroid, resolution: int = 1000) -> float:
-    """Reference maximizer for 3-element matroids: scan the lattice grid
-    {(i, j, res-i-j)/res} on the simplex and return the best value found."""
-    if M.n != 3:
-        raise MatroidError("grid oracle is for 3-element ground sets")
-    i, j = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
-    valid = i + j <= resolution
-    coords = [
-        i[valid] / resolution,
-        j[valid] / resolution,
-        (resolution - i - j)[valid] / resolution,
-    ]
-    total = np.zeros(coords[0].shape)
-    for b in M.bases:
-        prod = np.ones(coords[0].shape)
-        for e in bit_indices(b):
-            prod = prod * coords[e]
-        total += prod
-    return float(total.max())

@@ -35,8 +35,18 @@ def exchange_violation(n: int, family):
 
     Returns ("size", B1, B2) on a cardinality mismatch, ("range", B, None)
     for a member not inside {0..n-1}, and ("exchange", B1, B2, x) when no
-    y in B2-B1 repairs the removal of x from B1.  Scan order is fixed
-    (sorted masks) so the reported witness is deterministic.
+    y in B2-B1 repairs the removal of x from B1.
+
+    The exchange check runs once per (B1, x), not once per pair.  Let
+    D = {x} | {y not in B1 : B1 - x + y in F}.  A member B2 fails against
+    (B1, x) exactly when B2 & D == 0: then x is not in B2 and no y in
+    B2 - B1 repairs B1 - x.  For a matroid, D is the fundamental cocircuit
+    of x with respect to B1, so few distinct D occur; the smallest member
+    disjoint from each D is found once per D by a scan of F.
+
+    The witness is the first violation in (B1, B2, x) order over sorted
+    masks: the smallest B1 with a violation, then the smallest B2 that
+    avoids one of its D, then the smallest x whose D that B2 avoids.
     """
     members = sorted(set(family))
     if not members:
@@ -49,14 +59,23 @@ def exchange_violation(n: int, family):
         if popcount(b) != r:
             return ("size", members[0], b)
     family_set = set(members)
+    avoider = {}  # D -> smallest member disjoint from D, or None
     for b1 in members:
-        for b2 in members:
-            if b1 == b2:
-                continue
-            for x in bit_indices(b1 & ~b2):
-                removed = b1 & ~(1 << x)
-                if not any(removed | (1 << y) in family_set for y in bit_indices(b2 & ~b1)):
-                    return ("exchange", b1, b2, x)
+        outside = [1 << y for y in bit_indices(full & ~b1)]
+        witness = None
+        for x in bit_indices(b1):
+            removed = b1 & ~(1 << x)
+            d = 1 << x
+            for y_bit in outside:
+                if removed | y_bit in family_set:
+                    d |= y_bit
+            if d not in avoider:
+                avoider[d] = next((b for b in members if not b & d), None)
+            b2 = avoider[d]
+            if b2 is not None and (witness is None or b2 < witness[0]):
+                witness = (b2, x)
+        if witness is not None:
+            return ("exchange", b1, witness[0], witness[1])
     return None
 
 
@@ -94,9 +113,6 @@ class Matroid:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1 if self.n else 0
-
-    def is_basis(self, mask: int) -> bool:
-        return mask in set(self.bases)
 
 
 def _check_subset(M: Matroid, X: int):

@@ -190,17 +190,3 @@ def line_cover_number(M: Matroid) -> int:
 
     dfs(full, 0)
     return best[0]
-
-
-def line_cover_oracle(M: Matroid) -> int:
-    """Unpruned reference: try all line subsets by increasing size."""
-    lines = lines_of(M)
-    full = M.full_mask
-    for k in range(1, len(lines) + 1):
-        for combo in combinations(lines, k):
-            u = 0
-            for ln in combo:
-                u |= ln
-            if u == full:
-                return k
-    raise MatroidError("lines do not cover the ground set")

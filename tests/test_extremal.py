@@ -32,8 +32,9 @@ from turan_matroids.rank3 import (
     classify_u35_free,
     decompose_rank3,
     line_cover_number,
-    line_cover_oracle,
 )
+
+from oracles import line_cover_oracle
 
 
 def test_search_small_u23_cells():

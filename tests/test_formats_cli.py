@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from turan_matroids import lagrangian
 from turan_matroids.bounds import prime_band
 from turan_matroids.cli import main
 from turan_matroids.formats import (
@@ -165,6 +166,27 @@ def test_cli_lagrangian_certified():
     doc = json.loads(out)
     assert doc["certified"] is True
     assert doc["exact_bound"] == "4/49"
+
+
+def test_cli_lagrangian_bound_not_applicable():
+    # U(2,5) is its own U(2,4)-minor, so the t = 2 bound does not apply to it
+    _, u25 = run_cli(["construct", "uniform", "--s", "2", "--t", "5"])
+    code, out = run_cli(["lagrangian", "--bound-t", "2"], stdin_text=u25)
+    assert code == 0
+    assert "bound-not-applicable" in out.splitlines()
+    assert "lower-bound-only" not in out
+    code, out = run_cli(["lagrangian", "--bound-t", "2", "--json"], stdin_text=u25)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bound_applies"] is False and doc["certified"] is False
+
+
+def test_cli_lagrangian_broken_bound_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(lagrangian, "u2_lagrangian_bound", lambda r, t: Fraction(1, 100))
+    _, fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])
+    code, out = run_cli(["lagrangian", "--bound-t", "2"], stdin_text=fano)
+    assert code == 2 and out == ""
+    assert "THEOREM CHECK FAILED" in capsys.readouterr().err
 
 
 def test_cli_search_json_schema():

@@ -12,7 +12,6 @@ from turan_matroids.geometry import (
     bose_burton_points,
     lines_of,
     matroid_from_vectors,
-    multiline_with_blowup,
     projective_geometry,
     projective_points,
     rank3_from_lines,
@@ -23,6 +22,8 @@ from turan_matroids.geometry import (
 from turan_matroids.hypergraphs import basis_hypergraph, complete_uniform
 from turan_matroids.matroid import MatroidError, validate_exchange
 from turan_matroids.minors import has_uniform_minor
+
+from oracles import multiline_with_blowup
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])

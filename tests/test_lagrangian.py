@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from turan_matroids import lagrangian
 from turan_matroids.geometry import bose_burton, projective_geometry, uniform
 from turan_matroids.lagrangian import (
-    grid_search_2simplex,
     maximize,
     poly_eval,
     poly_gradient,
@@ -19,8 +19,10 @@ from turan_matroids.matroid import (
     direct_sum,
     parallel_blowup,
 )
+from turan_matroids.rank3 import TheoremViolation
 
 from conftest import random_linear
+from oracles import grid_search_2simplex
 
 
 def test_poly_eval_symmetric_triangle():
@@ -87,6 +89,30 @@ def test_maximize_fano_certified():
     assert abs(res.value - 28 / 343) < 1e-9
     assert res.certified and res.converged
     assert abs(poly_eval(projective_geometry(3, 2), res.argmax) - res.value) < 1e-12
+
+
+def test_maximize_bound_not_applicable():
+    # U(2,5) has a U(2,4)-minor, so the t = 2 bound 1/3 does not cover it
+    res = maximize(uniform(2, 5), bound_t=2)
+    assert abs(res.value - 0.4) < 1e-9
+    assert res.bound_applies is False and res.certified is False
+    assert res.exact_bound == Fraction(1, 3)
+
+
+def test_maximize_broken_bound_raises(monkeypatch):
+    monkeypatch.setattr(lagrangian, "u2_lagrangian_bound", lambda r, t: Fraction(1, 100))
+    with pytest.raises(TheoremViolation):
+        maximize(projective_geometry(3, 2), bound_t=2)
+
+
+def test_maximize_within_bound_skips_minor_check(monkeypatch):
+    def fail(*args):
+        raise AssertionError("minor check made for a value within the bound")
+
+    monkeypatch.setattr(lagrangian, "has_uniform_minor", fail)
+    assert maximize(projective_geometry(3, 2), bound_t=2).certified
+    res = maximize(uniform(2, 3), bound_t=3)
+    assert not res.certified and res.bound_applies
 
 
 def test_maximize_invariant_under_blowup():

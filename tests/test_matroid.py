@@ -20,6 +20,7 @@ from turan_matroids.matroid import (
     delete,
     direct_sum,
     dual,
+    exchange_violation,
     is_coloop,
     is_simple,
     loops_mask,
@@ -32,6 +33,7 @@ from turan_matroids.matroid import (
 from turan_matroids.geometry import projective_geometry, projective_points, two_disjoint_lines, uniform
 
 from conftest import linear_matroids, random_linear
+from oracles import exchange_violation_oracle
 
 
 def test_exchange_accepts_triangle():
@@ -48,6 +50,34 @@ def test_exchange_single_basis_vacuous():
 
 def test_exchange_rejects_mixed_sizes():
     assert not validate_exchange(4, [0b0011, 0b0111])
+
+
+def _perturbations(rng, M):
+    """M's basis family with one basis removed and with one non-basis added."""
+    bases = list(M.bases)
+    if len(bases) > 1:
+        dropped = rng.choice(bases)
+        yield [b for b in bases if b != dropped]
+    others = [mask_of(c) for c in combinations(range(M.n), M.r) if mask_of(c) not in M.bases]
+    if others:
+        yield bases + [rng.choice(others)]
+
+
+def test_exchange_violation_matches_pair_scan(rng):
+    families = []
+    for n, r in ((4, 2), (5, 2), (5, 3)):
+        subsets = [mask_of(c) for c in combinations(range(n), r)]
+        for pick in range(1, 1 << len(subsets)):
+            families.append((n, [s for i, s in enumerate(subsets) if pick >> i & 1]))
+    for _ in range(200):
+        M = random_linear(rng, max_n=8)
+        families += [(M.n, fam) for fam in _perturbations(rng, M)]
+    for M in (projective_geometry(3, 3), projective_geometry(4, 2)):
+        families.append((M.n, M.bases[:17] + M.bases[18:]))
+    for n, fam in families:
+        assert exchange_violation(n, fam) == exchange_violation_oracle(n, fam)
+    witnesses = [exchange_violation(n, fam) for n, fam in families]
+    assert None in witnesses and any(w and w[0] == "exchange" for w in witnesses)
 
 
 def test_from_bases_validates():

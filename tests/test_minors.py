@@ -14,7 +14,6 @@ from turan_matroids.hypergraphs import (
     daisy_completed_by_edge,
     has_daisy,
     hypergraph_is_matroidal,
-    matroidal_local_diagnostic,
     suspension,
 )
 from turan_matroids.geometry import projective_geometry, rank3_multiline, two_disjoint_lines, uniform
@@ -28,6 +27,7 @@ from turan_matroids.minors import (
 )
 
 from conftest import linear_matroids, random_linear
+from oracles import matroidal_local_diagnostic
 
 
 def test_basis_hypergraph_of_uniform_is_complete():
