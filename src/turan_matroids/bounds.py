@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .fields import is_prime_power
 from .matroid import MatroidError

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .bitsets import bit_indices, mask_of
+from .bitsets import bit_indices
 from .extremal import (
     DEFAULT_MAX_NODES,
     SearchOptions,
@@ -48,7 +48,6 @@ from .lagrangian import maximize
 from .matroid import Matroid, MatroidError, parallel_blowup
 from .minors import has_uniform_minor, has_uniform_restriction
 from .rank3 import (
-    NoU25Minor,
     TheoremViolation,
     TwoLines,
     classify_u35_free,

@@ -4,11 +4,14 @@ forbidden uniform minor, binary subset maximization, and truncation probes.
 The generic backend walks all subsets of the r-subsets of [n] in fixed
 lexicographic order, pruning branches that (a) already contain the
 forbidden daisy (daisy presence is monotone under edge insertion) or
-(b) cannot beat the incumbent count.  The exchange property is *not*
-prefix-monotone, so it is tested only on completed families.  The tree
-is split at a fixed depth into subtrees that run in fixed order under one
-node budget, each getting whatever its predecessors left unspent, so
-results and counters are deterministic.
+(b) cannot beat the incumbent count.  The daisy test reads a
+``hypergraphs.StemLinks`` state, the link and vertex degrees of every
+(r - s)-stem in the chosen family, which the walk updates as it adds and
+removes each edge, so no test rescans the family.  The exchange property
+is *not* prefix-monotone, so it is tested only on completed families.
+The tree is split at a fixed depth into subtrees that run in fixed order
+under one node budget, each getting whatever its predecessors left
+unspent, so results and counters are deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .geometry import (
     two_disjoint_lines,
     uniform,
 )
-from .hypergraphs import daisy_completed_by_edge
+from .hypergraphs import StemLinks, daisy_completed_by_edge
 from .matroid import (
     MAX_GROUND_SET,
     Matroid,
@@ -151,20 +154,25 @@ def best_known_construction(n: int, r: int, s: int, t: int):
 def _subtree_search(edges, n, r, s, t, prefix_bits, depth, threshold, budget, cap):
     """DFS one fixed prefix of include/exclude decisions, visiting at most
     ``budget`` nodes; returns
-    (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted)."""
+    (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted).
+
+    The chosen edges are mirrored in a ``StemLinks`` state: every edge is
+    pushed onto it when chosen, in the prefix and in the DFS, and popped
+    when the DFS backtracks, so the daisy test of each new edge reads the
+    current links of the stems inside it."""
     m = len(edges)
     nodes = 0
     pruned_daisy = 0
     pruned_bound = 0
     exhausted = False
     chosen = []
-    chosen_set = set()
+    links = StemLinks(n, r, s, t)
     for i in range(depth):
         if prefix_bits >> i & 1:
             e = edges[i]
             chosen.append(e)
-            chosen_set.add(e)
-            if daisy_completed_by_edge(chosen_set, r, s, t, e):
+            links.push(e)
+            if daisy_completed_by_edge(links, e):
                 return (threshold, [], 1, 1, 0, False)
     best = threshold
     witnesses = []
@@ -200,13 +208,13 @@ def _subtree_search(edges, n, r, s, t, prefix_bits, depth, threshold, budget, ca
             return
         e = edges[idx]
         chosen.append(e)
-        chosen_set.add(e)
-        if daisy_completed_by_edge(chosen_set, r, s, t, e):
+        links.push(e)
+        if daisy_completed_by_edge(links, e):
             pruned_daisy += 1
         else:
             dfs(idx + 1)
         chosen.pop()
-        chosen_set.discard(e)
+        links.pop(e)
         dfs(idx + 1)
 
     dfs(depth)

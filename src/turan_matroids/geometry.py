@@ -10,9 +10,8 @@ for bit-exact serialization.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb
 
-from .bitsets import bit_indices, mask_of
+from .bitsets import mask_of
 from .fields import GaloisField, make_field
 from .matroid import MAX_GROUND_SET, Matroid, MatroidError
 

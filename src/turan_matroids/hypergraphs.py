@@ -4,10 +4,15 @@ A daisy with stem size d and petal parameters (s, t) is the r-graph whose
 edges are S union X for a fixed d-set S (d = r - s) and all s-subsets X of
 a fixed t-set T disjoint from S.  It equals the rank-r suspension of the
 complete s-graph on t vertices.
+
+``StemLinks`` keeps every stem's link in a family that changes one edge
+at a time, and ``daisy_completed_by_edge`` asks it whether the last edge
+added completed a daisy; the extremal search uses the pair.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -67,53 +72,31 @@ def daisy(r: int, s: int, t: int) -> UniformHypergraph:
     return suspension(complete_uniform(t, s), r)
 
 
-def _grow_complete_subset(link, vertices, s, t, forced=()):
-    """Lexicographically least t-set T over ``vertices`` (ascending), T
-    containing ``forced``, with every s-subset of T in ``link``.  None if
-    there is none."""
-    forced = sorted(forced)
-    for a, b in zip(forced, forced[1:]):
-        if a == b:
-            return None
-    if len(forced) > t:
-        return None
-    need_deg = comb(t - 1, s - 1)
-    degree = {u: 0 for u in vertices}
-    for e in link:
-        for u in bit_indices(e):
-            if u in degree:
-                degree[u] += 1
-    candidates = [u for u in vertices if u not in set(forced) and degree[u] >= need_deg]
-
-    def compatible(chosen, u):
-        if len(chosen) < s - 1:
-            return True
-        for ys in combinations(chosen, s - 1):
-            if mask_of(ys + (u,)) not in link:
-                return False
-        return True
-
-    for x in forced:
-        if degree.get(x, 0) < need_deg:
-            return None
-        others = [y for y in forced if y != x]
-        if not compatible(others, x):
-            return None
-
-    def dfs(chosen, start):
-        if len(chosen) == t:
-            return tuple(sorted(chosen))
-        for idx in range(start, len(candidates)):
-            if len(chosen) + (len(candidates) - idx) < t:
-                break
-            u = candidates[idx]
-            if compatible(chosen, u):
-                got = dfs(chosen + [u], idx + 1)
-                if got is not None:
-                    return got
-        return None
-
-    return dfs(sorted(forced), 0)
+def _complete_extension(link, chosen, faces, candidates, need, s):
+    """Lexicographically least set made of the set ``chosen`` plus
+    ``need`` members of ``candidates`` (ascending) whose s-subsets are all
+    in ``link``, as a mask; None if there is none.  ``chosen`` is a mask
+    whose s-subsets are all in ``link``, and ``faces`` lists its
+    (s-1)-subsets as masks."""
+    if need == 0:
+        return chosen
+    for idx in range(len(candidates) - need + 1):
+        bit = 1 << candidates[idx]
+        if link.issuperset([f | bit for f in faces]):
+            grown = chosen | bit
+            if need == 1:
+                return grown
+            got = _complete_extension(
+                link,
+                grown,
+                tuple(subsets_of_size(grown, s - 1)),
+                candidates[idx + 1 :],
+                need - 1,
+                s,
+            )
+            if got is not None:
+                return got
+    return None
 
 
 def _candidate_stems(H: UniformHypergraph, d: int, min_edges: int):
@@ -133,34 +116,90 @@ def has_daisy(H: UniformHypergraph, s: int, t: int):
     Returns (found, (stem_mask, petal_vertex_mask) or None).  The witness
     is lexicographically least: smallest stem first, then smallest t-set.
     Candidate stems are read off as frequent (k-s)-subsets of edges, and
-    the petal set is grown over the link of the stem with backtracking.
+    the petal set is grown over the link of the stem with backtracking,
+    using only vertices of degree at least C(t-1, s-1) in the link.
     """
     if not 1 <= s <= H.k or t < s:
         raise MatroidError("need 1 <= s <= k and t >= s")
     d = H.k - s
+    min_degree = comb(t - 1, s - 1)
     for stem in _candidate_stems(H, d, comb(t, s)):
         link = {e & ~stem for e in H.edges if e & stem == stem}
-        support = sorted({u for e in link for u in bit_indices(e)})
-        got = _grow_complete_subset(link, support, s, t)
+        degree = Counter(u for e in link for u in bit_indices(e))
+        candidates = sorted(u for u, c in degree.items() if c >= min_degree)
+        got = _complete_extension(link, 0, tuple(subsets_of_size(0, s - 1)), candidates, t, s)
         if got is not None:
-            return True, (stem, mask_of(got))
+            return True, (stem, got)
     return False, None
 
 
-def daisy_completed_by_edge(edges_set, k: int, s: int, t: int, new_edge: int) -> bool:
-    """Would adding ``new_edge`` to ``edges_set`` create an (s, t) daisy?
+class StemLinks:
+    """The link of every (k - s)-set (stem) in a family of k-subsets of
+    [n] that gains and loses one edge at a time, for (s, t) daisy checks.
 
-    Only daisies using ``new_edge`` must be checked; presence of a daisy is
-    monotone under edge insertion.  ``edges_set`` must already contain
-    new_edge.
+    ``link[stem]`` is {e - stem : stem a subset of e in the family}, and
+    ``degree[stem][u]`` counts the members of that link containing u.
+    ``push`` and ``pop`` keep both current, so ``daisy_completed_by_edge``
+    reads a stem's link and degrees instead of rebuilding them from the
+    family.  For every k-subset of [n], ``petals`` lists, per stem inside
+    it in lexicographic order, that stem's link and degrees and the rest
+    of the edge (the petal) as a mask, as vertices and as its
+    (s-1)-subsets: C(n, k) * C(k, s) entries, built once.
     """
-    d = k - s
-    for stem in subsets_of_size(new_edge, d):
-        link = {e & ~stem for e in edges_set if e & stem == stem}
-        if len(link) < comb(t, s):
+
+    def __init__(self, n: int, k: int, s: int, t: int):
+        if not 1 <= s <= k or t < s:
+            raise MatroidError("need 1 <= s <= k and t >= s")
+        self.n, self.s, self.t = n, s, t
+        self.min_link = comb(t, s)
+        self.min_degree = comb(t - 1, s - 1)
+        self.link = {mask_of(c): set() for c in combinations(range(n), k - s)}
+        self.degree = {stem: [0] * n for stem in self.link}
+        self.petals = {}
+        for c in combinations(range(n), k):
+            edge = mask_of(c)
+            self.petals[edge] = tuple(
+                (
+                    self.link[stem],
+                    self.degree[stem],
+                    edge ^ stem,
+                    tuple(bit_indices(edge ^ stem)),
+                    tuple(subsets_of_size(edge ^ stem, s - 1)),
+                )
+                for stem in subsets_of_size(edge, k - s)
+            )
+
+    def push(self, edge: int) -> None:
+        for link, degree, petal, vertices, _ in self.petals[edge]:
+            link.add(petal)
+            for u in vertices:
+                degree[u] += 1
+
+    def pop(self, edge: int) -> None:
+        for link, degree, petal, vertices, _ in self.petals[edge]:
+            link.remove(petal)
+            for u in vertices:
+                degree[u] -= 1
+
+
+def daisy_completed_by_edge(links: StemLinks, new_edge: int) -> bool:
+    """Does the family held in ``links`` contain an (s, t) daisy through
+    ``new_edge``?
+
+    ``new_edge`` must already be pushed.  When the family without it has
+    no daisy, this says whether adding it created one: daisy presence is
+    monotone under edge insertion, so only daisies using ``new_edge``
+    need checking.  For each stem inside ``new_edge``, the petal set must
+    contain the rest of ``new_edge`` (the forced petal) and is completed
+    from vertices of link degree at least C(t-1, s-1).
+    """
+    n, s, min_degree = links.n, links.s, links.min_degree
+    for link, degree, petal, forced, faces in links.petals[new_edge]:
+        if len(link) < links.min_link:
             continue
-        support = sorted({u for e in link for u in bit_indices(e)})
-        forced = tuple(bit_indices(new_edge & ~stem))
-        if _grow_complete_subset(link, support, s, t, forced=forced) is not None:
+        if min([degree[x] for x in forced]) < min_degree:
+            continue
+        candidates = [u for u in range(n) if degree[u] >= min_degree and not petal >> u & 1]
+        if _complete_extension(link, petal, faces, candidates, links.t - s, s) is not None:
             return True
     return False

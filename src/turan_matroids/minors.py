@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
-from .bitsets import bit_indices, mask_of, popcount
+from .bitsets import bit_indices, mask_of
 from .hypergraphs import basis_hypergraph, has_daisy
 from .matroid import Matroid, MatroidError, rank_of, validate_exchange
 

@@ -5,10 +5,11 @@ so that the fast path can be checked against it.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from turan_matroids.bitsets import bit_indices, mask_of, popcount
+from turan_matroids.bitsets import bit_indices, mask_of, popcount, subsets_of_size
 from turan_matroids.geometry import lines_of, rank3_from_lines, rank3_multiline
 from turan_matroids.matroid import Matroid, MatroidError, parallel_blowup, validate_exchange
 
@@ -114,3 +115,71 @@ def matroidal_local_diagnostic(H) -> bool:
             if inside and not validate_exchange(H.v, inside):
                 return False
     return True
+
+
+def _grow_complete_subset(link, vertices, s, t, forced=()):
+    """Lexicographically least t-set T over ``vertices`` (ascending), T
+    containing ``forced``, with every s-subset of T in ``link``.  None if
+    there is none."""
+    forced = sorted(forced)
+    for a, b in zip(forced, forced[1:]):
+        if a == b:
+            return None
+    if len(forced) > t:
+        return None
+    need_deg = comb(t - 1, s - 1)
+    degree = {u: 0 for u in vertices}
+    for e in link:
+        for u in bit_indices(e):
+            if u in degree:
+                degree[u] += 1
+    candidates = [u for u in vertices if u not in set(forced) and degree[u] >= need_deg]
+
+    def compatible(chosen, u):
+        if len(chosen) < s - 1:
+            return True
+        for ys in combinations(chosen, s - 1):
+            if mask_of(ys + (u,)) not in link:
+                return False
+        return True
+
+    for x in forced:
+        if degree.get(x, 0) < need_deg:
+            return None
+        others = [y for y in forced if y != x]
+        if not compatible(others, x):
+            return None
+
+    def dfs(chosen, start):
+        if len(chosen) == t:
+            return tuple(sorted(chosen))
+        for idx in range(start, len(candidates)):
+            if len(chosen) + (len(candidates) - idx) < t:
+                break
+            u = candidates[idx]
+            if compatible(chosen, u):
+                got = dfs(chosen + [u], idx + 1)
+                if got is not None:
+                    return got
+        return None
+
+    return dfs(sorted(forced), 0)
+
+
+def daisy_completed_by_edge_oracle(edges_set, k: int, s: int, t: int, new_edge: int) -> bool:
+    """Would adding ``new_edge`` to ``edges_set`` create an (s, t) daisy?
+
+    Only daisies using ``new_edge`` must be checked; presence of a daisy is
+    monotone under edge insertion.  ``edges_set`` must already contain
+    new_edge.
+    """
+    d = k - s
+    for stem in subsets_of_size(new_edge, d):
+        link = {e & ~stem for e in edges_set if e & stem == stem}
+        if len(link) < comb(t, s):
+            continue
+        support = sorted({u for e in link for u in bit_indices(e)})
+        forced = tuple(bit_indices(new_edge & ~stem))
+        if _grow_complete_subset(link, support, s, t, forced=forced) is not None:
+            return True
+    return False

@@ -93,6 +93,24 @@ def test_search_budget_is_global():
     assert not report.exhaustive
 
 
+# (max_bases, nodes_explored, pruned_daisy, pruned_bound) of exhaustive
+# searches whose daisy stems have 1, 0, 2, 0 and 0 elements
+SEARCH_COUNTERS = {
+    (5, 3, 2, 4): (8, 989, 39, 115),
+    (6, 3, 1, 3): (8, 54_728, 21_447, 10_286),
+    (6, 4, 2, 4): (12, 21_389, 1_177, 1_594),
+    (6, 2, 2, 4): (12, 1_936, 290, 752),
+    (7, 2, 2, 3): (12, 45_833, 16_853, 14_263),
+}
+
+
+def test_search_counters_pinned():
+    for (n, r, s, t), expected in SEARCH_COUNTERS.items():
+        rep = search_ex(n, r, s, t)
+        assert rep.exhaustive
+        assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == expected
+
+
 def test_best_known_construction_examples():
     M = best_known_construction(6, 3, 3, 4)
     assert M is not None and M.basis_count == 12

@@ -1,5 +1,6 @@
 """Daisy search, uniform minors and restrictions, matroid counting."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from turan_matroids.bitsets import bit_indices, mask_of, popcount
 from turan_matroids.hypergraphs import (
+    StemLinks,
     UniformHypergraph,
     basis_hypergraph,
     complete_uniform,
@@ -27,7 +29,7 @@ from turan_matroids.minors import (
 )
 
 from conftest import linear_matroids, random_linear
-from oracles import matroidal_local_diagnostic
+from oracles import daisy_completed_by_edge_oracle, matroidal_local_diagnostic
 
 
 def test_basis_hypergraph_of_uniform_is_complete():
@@ -93,11 +95,47 @@ def test_daisy_witness_is_valid():
 
 def test_daisy_completed_by_edge_incremental():
     K = complete_uniform(4, 3)
-    edges = set(K.edges)
-    last = K.edges[-1]
-    assert daisy_completed_by_edge(edges, 3, 3, 4, last)
-    smaller = set(K.edges[:-1])
-    assert not daisy_completed_by_edge(smaller, 3, 3, 4, K.edges[0])
+    links = StemLinks(4, 3, 3, 4)
+    for e in K.edges:
+        links.push(e)
+    assert daisy_completed_by_edge(links, K.edges[-1])
+    links.pop(K.edges[-1])
+    assert not daisy_completed_by_edge(links, K.edges[0])
+
+
+@pytest.mark.parametrize(
+    "k,s,t", [(2, 2, 3), (3, 3, 4), (3, 2, 4), (3, 2, 5), (3, 1, 3), (4, 2, 4)]
+)
+def test_stem_links_match_oracle(k, s, t):
+    # stems of k - s = 0, 1 and 2 elements; the family tends to grow for
+    # 50 steps, then to shrink for 50, twice, and pops come in random
+    # order, not only last-in first-out as in the search
+    n = k + 3
+    edges = [mask_of(c) for c in combinations(range(n), k)]
+    rng = random.Random(1000 * k + 100 * s + t)
+    links = StemLinks(n, k, s, t)
+    family = set()
+    answers = []
+    for step in range(200):
+        absent = [e for e in edges if e not in family]
+        grow = 0.7 if step % 100 < 50 else 0.3
+        if absent and (not family or rng.random() < grow):
+            e = rng.choice(absent)
+            family.add(e)
+            links.push(e)
+        else:
+            e = rng.choice(sorted(family))
+            family.remove(e)
+            links.pop(e)
+        for f in family:
+            got = daisy_completed_by_edge(links, f)
+            assert got == daisy_completed_by_edge_oracle(family, k, s, t, f)
+            answers.append(got)
+    assert True in answers and False in answers
+    for e in sorted(family):
+        links.pop(e)
+    fresh = StemLinks(n, k, s, t)
+    assert (links.link, links.degree) == (fresh.link, fresh.degree)
 
 
 def test_has_uniform_minor_examples():
