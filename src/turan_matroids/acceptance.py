@@ -36,6 +36,7 @@ from .geometry import (
 from .lagrangian import maximize, poly_eval, poly_gradient
 from .matroid import (
     Matroid,
+    MatroidError,
     connected_components,
     contract,
     delete,
@@ -54,15 +55,13 @@ class AcceptanceResult:
     name: str
     passed: bool
     detail: str
-    suites: tuple
 
 
-def _result(name, suites, passed, detail) -> AcceptanceResult:
-    return AcceptanceResult(name, bool(passed), detail, tuple(suites))
+def _result(name, passed, detail) -> AcceptanceResult:
+    return AcceptanceResult(name, bool(passed), detail)
 
 
-def random_linear_matroid(rng: random.Random, max_n: int = 7, min_n: int = 2,
-                          require_rank: int | None = None) -> Matroid:
+def random_linear_matroid(rng: random.Random, max_n: int = 7, min_n: int = 2) -> Matroid:
     """Random representable matroid from a random GF(2) or GF(3) matrix."""
     while True:
         n = rng.randint(min_n, max_n)
@@ -73,8 +72,6 @@ def random_linear_matroid(rng: random.Random, max_n: int = 7, min_n: int = 2,
             continue
         M = matroid_from_vectors(cols, q)
         if M.r < 1:
-            continue
-        if require_rank is not None and M.r != require_rank:
             continue
         return M
 
@@ -95,7 +92,7 @@ def random_rank3_construction(rng: random.Random, max_n: int = 12) -> Matroid:
                 sizes = sizes[:-1] if sum(sizes) + pclass > max_n and len(sizes) > 1 else sizes
         try:
             return rank3_multiline(sizes, pclass, simple_lines=False)
-        except Exception:
+        except MatroidError:
             return two_disjoint_lines(3, 3)
     if kind == 1:
         a = rng.randint(2, max_n - 2)
@@ -113,7 +110,7 @@ def random_rank3_construction(rng: random.Random, max_n: int = 12) -> Matroid:
             lines.append(ln)
     try:
         simple = rank3_from_lines(p, lines)
-    except Exception:
+    except MatroidError:
         simple = uniform(3, p)
     budget = max_n - simple.n
     mult = [1] * simple.n
@@ -128,7 +125,6 @@ def criterion_01_basis_counts() -> AcceptanceResult:
     ok32 = B.projective_basis_count(3, 2) == 28 == projective_geometry(3, 2).basis_count
     return _result(
         "01 projective basis counts 234 and 28, formula and construction",
-        ("bounds", "geometry"),
         ok33 and ok32,
         f"b(3,3): formula {B.projective_basis_count(3, 3)}, built "
         f"{projective_geometry(3, 3).basis_count}; b(3,2): {B.projective_basis_count(3, 2)}, "
@@ -143,7 +139,6 @@ def criterion_02_blowup_equality() -> AcceptanceResult:
     ok = blow.basis_count == 224 and bound == 224 and minor_free
     return _result(
         "02 doubled projective plane: 224 bases, meets bound, no U(2,4)-minor",
-        ("u2",),
         ok,
         f"b={blow.basis_count}, bound={bound}, minor_free={minor_free}",
     )
@@ -183,7 +178,6 @@ def criterion_03_lagrangian_certified() -> AcceptanceResult:
     ok_grad = worst_rel < 1e-6
     return _result(
         "03 Lagrangian of the Fano plane certified at 28/343; Euler and gradient checks",
-        ("lagrangian", "u2"),
         ok_value and ok_euler and ok_grad,
         f"value={res.value:.12f} certified={res.certified} euler_resid={worst_euler:.2e} "
         f"grad_rel_err={worst_rel:.2e}",
@@ -207,7 +201,6 @@ def criterion_04_gradient_contraction_bound() -> AcceptanceResult:
     ok = worst <= 1e-7
     return _result(
         "04 derivative bounded by contraction optimum at 100 random points",
-        ("lagrangian",),
         ok,
         f"max slack {worst:.2e} (allowed 1e-7)",
     )
@@ -232,7 +225,6 @@ def criterion_05_density_consistency() -> AcceptanceResult:
             details.append(f"limit band violated q={q}")
     return _result(
         "05 density product identity, monotone in rank, near the infinite product",
-        ("bounds",),
         ok,
         "; ".join(details) if details else "exact for r<=6, q in 2..5; within band at r=12",
     )
@@ -254,7 +246,6 @@ def criterion_06_search_u23() -> AcceptanceResult:
                 simple_ok = False
     return _result(
         "06 no-3-point-circuit search: ex(4,2)=4, ex(6,2)=9, witnesses 2-point",
-        ("search",),
         ok and simple_ok,
         f"ex(4)={rep4.max_bases} ex(6)={rep6.max_bases} exhaustive="
         f"{rep4.exhaustive and rep6.exhaustive} witnesses_simplify_small={simple_ok}",
@@ -273,7 +264,6 @@ def criterion_07_search_u1t() -> AcceptanceResult:
     ok = ok and rep.max_bases == 1 and rep.exhaustive
     return _result(
         "07 rank-1 forbidden parallel classes: ex = t-1; free matroid case = 1",
-        ("search",),
         ok,
         str(vals),
     )
@@ -293,7 +283,6 @@ def criterion_08_u34_oracle_equivalence() -> AcceptanceResult:
     ) if rep.witnesses else False
     return _result(
         "08 rank-3 search equals brute-force oracle; witnesses split into rank<=2 parts",
-        ("search", "rank3"),
         ok and decompose_ok and agree_witness,
         f"search={rep.max_bases} oracle={oracle_max} witnesses_rank2_summands={decompose_ok}",
     )
@@ -307,7 +296,6 @@ def criterion_09_two_lines_extremal() -> AcceptanceResult:
     ok = M.basis_count == 294 and closed == 294 and isinstance(outcome, TwoLines) and not restr
     return _result(
         "09 two 7-point lines: 294 bases = closed form; classified two-lines",
-        ("rank3",),
         ok,
         f"b={M.basis_count} closed={closed} outcome={type(outcome).__name__} "
         f"free_restriction={restr}",
@@ -338,7 +326,6 @@ def criterion_10_classifier_robustness() -> AcceptanceResult:
     ok = classified == 500 and isinstance(pg_outcome, NoU25Minor)
     return _result(
         "10 dichotomy classifier: 500 random constructions plus the Fano plane",
-        ("rank3",),
         ok,
         f"classified={classified} two_lines={two_lines} no_minor={no_minor} "
         f"fano={type(pg_outcome).__name__}",
@@ -372,7 +359,6 @@ def criterion_11_decomposition_certificates() -> AcceptanceResult:
     ok = results["odd"] == 500 and results["even"] == 500 and u34_ok
     return _result(
         "11 greedy line decompositions: 500 certificates per parity, 34-point case",
-        ("rank3",),
         ok,
         f"odd={results['odd']} even={results['even']} k0_seen={k0_seen} u34_k0={u34_ok}",
     )
@@ -393,7 +379,6 @@ def criterion_12_binary_subsets() -> AcceptanceResult:
     )
     return _result(
         "12 densest binary subsets: flat complements win at sizes 4 of 7 and 8 of 15",
-        ("search",),
         ok,
         f"max(3,4)={rep34.max_bases} max(4,8)={rep48.max_bases} bb48={bb48} "
         f"subsets={rep48.nodes_explored}",
@@ -417,7 +402,7 @@ def criterion_13_averaging_identities() -> AcceptanceResult:
             if total / M.n != density:
                 return _result(
                     "13 exact averaging identities over deletions and contractions",
-                    ("core",), False, f"contraction identity failed on {M}")
+                    False, f"contraction identity failed on {M}")
             contraction_checked += 1
         coloopless = not any(is_coloop(M, e) for e in range(M.n))
         if loopless and coloopless and M.n > M.r and deletion_checked < 200:
@@ -427,12 +412,11 @@ def criterion_13_averaging_identities() -> AcceptanceResult:
             if total / M.n != density:
                 return _result(
                     "13 exact averaging identities over deletions and contractions",
-                    ("core",), False, f"deletion identity failed on {M}")
+                    False, f"deletion identity failed on {M}")
             deletion_checked += 1
     ok = deletion_checked >= 200 and contraction_checked >= 200
     return _result(
         "13 exact averaging identities over deletions and contractions",
-        ("core",),
         ok,
         f"deletion={deletion_checked} contraction={contraction_checked} (exact rationals)",
     )
@@ -450,14 +434,12 @@ def criterion_14_minor_oracle_equivalence() -> AcceptanceResult:
                 if fast != slow:
                     return _result(
                         "14 daisy detector agrees with contract-and-restrict oracle",
-                        ("minors",),
                         False,
                         f"disagreement at s={s} t={t} on n={M.n} bases={M.bases}",
                     )
                 pairs_checked += 1
     return _result(
         "14 daisy detector agrees with contract-and-restrict oracle",
-        ("minors",),
         True,
         f"200 matroids, {pairs_checked} (matroid, s, t) cases",
     )
@@ -472,7 +454,6 @@ def criterion_15_matroid_counts() -> AcceptanceResult:
                 duality_ok = False
     return _result(
         "15 labeled matroid counts: 7 at (3,2); duality symmetry up to n=5",
-        ("minors",),
         ok7 and duality_ok,
         f"count(3,2)={count_matroids(3, 2)} duality={duality_ok}",
     )
@@ -520,7 +501,6 @@ def criterion_16_determinism() -> AcceptanceResult:
     codes_ok = all(code == 0 for outs in runs for code, _ in outs)
     return _result(
         "16 byte-identical reports across fresh interpreters",
-        ("determinism",),
         same and codes_ok,
         f"identical={same} exit_codes_ok={codes_ok} interpreters=3",
     )
@@ -545,8 +525,7 @@ CRITERIA = (
     (criterion_16_determinism, ("determinism",)),
 )
 
-SUITES = ("all", "core", "bounds", "geometry", "u2", "lagrangian", "search", "rank3",
-          "minors", "determinism")
+SUITES = ("all", *dict.fromkeys(tag for _, tags in CRITERIA for tag in tags))
 
 
 def run_suite(suite: str = "all"):
@@ -565,6 +544,6 @@ def run_suite(suite: str = "all"):
             results.append(fn())
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             results.append(
-                AcceptanceResult(fn.__name__, False, f"raised {type(exc).__name__}: {exc}", tags)
+                AcceptanceResult(fn.__name__, False, f"raised {type(exc).__name__}: {exc}")
             )
     return results

@@ -15,6 +15,11 @@ def bit_indices(mask: int):
         mask ^= low
 
 
+def index_list(mask: int) -> list:
+    """The set bits of ``mask`` as an ascending list."""
+    return list(bit_indices(mask))
+
+
 def mask_of(indices) -> int:
     mask = 0
     for i in indices:

@@ -26,16 +26,6 @@ def projective_basis_count(r: int, t: int) -> Fraction:
     return Fraction(num, factorial(r) * (t - 1) ** r)
 
 
-def projective_basis_count_recursive(r: int, t: int) -> Fraction:
-    """Same value through the recursion b(r) = b(r-1) t^{r-1} (t^r - 1) / (r (t-1))."""
-    if r < 1 or t < 2:
-        raise MatroidError("need r >= 1 and t >= 2")
-    value = Fraction(1)
-    for j in range(2, r + 1):
-        value = value * t ** (j - 1) * (t**j - 1) / (j * (t - 1))
-    return value
-
-
 def kung_point_bound(r: int, t: int) -> int:
     """Maximum point count of a simple rank-r matroid with no (t+2)-point line minor."""
     if r < 1 or t < 2:

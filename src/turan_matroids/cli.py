@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .bitsets import bit_indices
+from .bitsets import index_list
 from .extremal import (
     DEFAULT_MAX_NODES,
     SearchOptions,
@@ -32,6 +32,7 @@ from .extremal import (
 )
 from .formats import (
     parse_matroid,
+    parse_matroid_file,
     serialize_matroid,
     serialize_matroid_json,
 )
@@ -66,9 +67,8 @@ class CliParser(argparse.ArgumentParser):
 
 
 def _read_matroid(args) -> Matroid:
-    if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return parse_matroid(fh.read())
+    if args.infile:
+        return parse_matroid_file(args.infile)
     return parse_matroid(sys.stdin.read())
 
 
@@ -85,10 +85,6 @@ def _print_result(args, payload: dict, text_lines):
     else:
         for line in text_lines:
             print(line)
-
-
-def _mask_list(mask: int):
-    return list(bit_indices(mask))
 
 
 def _frac_str(x: Fraction) -> str:
@@ -121,8 +117,6 @@ def cmd_construct(args) -> int:
         base = _read_matroid(args)
         mult = [int(x) for x in args.mult.split(",") if x]
         M = parallel_blowup(base, mult)
-    else:  # pragma: no cover
-        raise MatroidError(f"unknown construction {args.kind}")
     _emit_matroid(M, args, comments=comments)
     return 0
 
@@ -139,8 +133,8 @@ def cmd_minor(args) -> int:
     payload = {"s": args.s, "t": args.t, "present": found}
     lines = ["present" if found else "absent"]
     if witness is not None:
-        payload["contract"] = _mask_list(witness.contracted)
-        payload["restrict_to"] = _mask_list(witness.selected)
+        payload["contract"] = index_list(witness.contracted)
+        payload["restrict_to"] = index_list(witness.selected)
         lines.append(f"contract {payload['contract']} restrict_to {payload['restrict_to']}")
     _print_result(args, payload, lines)
     return 0
@@ -152,7 +146,7 @@ def cmd_restriction(args) -> int:
     payload = {"s": args.s, "t": args.t, "present": found}
     lines = ["present" if found else "absent"]
     if subset is not None:
-        payload["subset"] = _mask_list(subset)
+        payload["subset"] = index_list(subset)
         lines.append(f"subset {payload['subset']}")
     _print_result(args, payload, lines)
     return 0
@@ -343,13 +337,13 @@ def cmd_decompose(args) -> int:
     dec = decompose_rank3(M, args.m, args.parity)
     payload = {
         "k": dec.k,
-        "lines": [_mask_list(ln) for ln in dec.lines],
-        "leftover": _mask_list(dec.leftover),
+        "lines": [index_list(ln) for ln in dec.lines],
+        "leftover": index_list(dec.leftover),
         "certificate": dec.certificate,
     }
     lines = [f"k {dec.k}"]
-    lines.extend(f"line {_mask_list(ln)}" for ln in dec.lines)
-    lines.append(f"leftover {_mask_list(dec.leftover)}")
+    lines.extend(f"line {index_list(ln)}" for ln in dec.lines)
+    lines.append(f"leftover {index_list(dec.leftover)}")
     lines.append("certificate " + " ".join(f"{k}={v}" for k, v in sorted(dec.certificate.items())))
     _print_result(args, payload, lines)
     return 0
@@ -361,8 +355,8 @@ def cmd_classify(args) -> int:
     if isinstance(outcome, TwoLines):
         payload = {
             "outcome": "two-lines",
-            "line1": _mask_list(outcome.line1),
-            "line2": _mask_list(outcome.line2),
+            "line1": index_list(outcome.line1),
+            "line2": index_list(outcome.line2),
         }
         lines = ["two-lines", f"line1 {payload['line1']}", f"line2 {payload['line2']}"]
     else:
@@ -444,12 +438,6 @@ def build_parser() -> CliParser:
     for kind_parser in (pg, bb, un, ln, ml, bl):
         add_json(kind_parser)
         kind_parser.set_defaults(func=cmd_construct)
-    pg.set_defaults(kind="pg")
-    bb.set_defaults(kind="bb")
-    un.set_defaults(kind="uniform")
-    ln.set_defaults(kind="lines")
-    ml.set_defaults(kind="multiline")
-    bl.set_defaults(kind="blowup")
 
     p = sub.add_parser("bases", help="count the bases of a matroid")
     add_infile(p)

@@ -17,6 +17,7 @@ unspent, so results and counters are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -27,6 +28,7 @@ from .bounds import largest_prime_power_leq
 from .geometry import (
     bose_burton,
     projective_geometry,
+    rank3_from_lines,
     rank3_multiline,
     two_disjoint_lines,
     uniform,
@@ -38,9 +40,10 @@ from .matroid import (
     MatroidError,
     direct_sum,
     parallel_blowup,
+    truncate,
     validate_exchange,
 )
-from .minors import has_uniform_minor, uniform_minor_oracle
+from .minors import has_uniform_minor, has_uniform_restriction, uniform_minor_oracle
 
 DEFAULT_MAX_NODES = 20_000_000
 SPLIT_DEPTH = 4  # the generic search runs 2**SPLIT_DEPTH prefix subtrees
@@ -126,10 +129,8 @@ def _candidate_constructions(n: int, r: int, s: int, t: int):
             out.append(M)
     if s == 3 and r == 3 and t >= 5:
         m = (t - 1) // 2
-        if m >= 1 and n >= 2 * m:
-            if m == 1:
-                pass
-            elif t % 2:  # forbid U(3, 2m+1): m balanced long lines
+        if n >= 2 * m:
+            if t % 2:  # forbid U(3, 2m+1): m balanced long lines
                 sizes = _balanced_parts(n, m)
                 if all(sz >= 3 for sz in sizes):
                     out.append(rank3_multiline(sizes, 0))
@@ -336,8 +337,6 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
         raise MatroidError("every rank-3 matroid has a U(3,3)-minor")
     if n < 3:
         raise MatroidError("rank 3 needs n >= 3")
-    from .geometry import rank3_from_lines
-    from .minors import has_uniform_restriction
 
     budget = opts.max_nodes
     nodes = 0
@@ -493,8 +492,6 @@ def search_binary_max_bases(r: int, size: int, witness_cap: int = 16) -> SearchR
 def truncation_probe(r: int, m: int, q: int, s: int) -> int:
     """Largest t such that the m-step truncation of the rank-(r+m)
     projective geometry over GF(q) has a U(s, t)-minor."""
-    from .matroid import truncate
-
     if not is_prime_power(q):
         raise MatroidError(f"{q} is not a prime power")
     pg = projective_geometry(r + m, q)
@@ -507,8 +504,6 @@ def truncation_probe(r: int, m: int, q: int, s: int) -> int:
 
 def density_rows(r: int, s: int, t: int, n_values, opts: SearchOptions | None = None):
     """Exact search per n; yields dicts with the basis-density rational."""
-    from fractions import Fraction
-
     rows = []
     for n in n_values:
         if n < r:

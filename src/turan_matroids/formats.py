@@ -1,4 +1,4 @@
-"""Text and JSON serialization for matroids and uniform hypergraphs.
+"""Text and JSON serialization for matroids.
 
 MATROID v1 (LF line endings, indices ascending in each line, lines sorted
 by bitmask value):
@@ -10,16 +10,14 @@ by bitmask value):
 
 Lines starting with '#' are comments and are ignored by the parser; the
 JSON mirror is {"n": ..., "r": ..., "bases": [[...], ...]} with identical
-ordering.  HYPERGRAPH v1 mirrors the matroid format with k replacing r and
-"edges" replacing "bases".
+ordering.
 """
 
 from __future__ import annotations
 
 import json
 
-from .bitsets import bit_indices, mask_of, popcount
-from .hypergraphs import UniformHypergraph
+from .bitsets import index_list, mask_of, popcount
 from .matroid import Matroid, MatroidError
 
 
@@ -30,27 +28,17 @@ class ParseError(MatroidError):
         self.message = message
 
 
-def _indices(mask: int):
-    return list(bit_indices(mask))
-
-
 def serialize_matroid(M: Matroid, comments=()) -> str:
     lines = ["MATROID v1"]
     lines.extend(f"# {c}" for c in comments)
     lines.append(f"n {M.n} r {M.r}")
     lines.append(f"bases {len(M.bases)}")
-    lines.extend(" ".join(map(str, _indices(b))) for b in M.bases)
+    lines.extend(" ".join(map(str, index_list(b))) for b in M.bases)
     return "\n".join(lines) + "\n"
 
 
 def serialize_matroid_json(M: Matroid) -> str:
-    return json.dumps({"n": M.n, "r": M.r, "bases": [_indices(b) for b in M.bases]})
-
-
-def serialize_hypergraph(H: UniformHypergraph) -> str:
-    lines = ["HYPERGRAPH v1", f"n {H.v} k {H.k}", f"edges {len(H.edges)}"]
-    lines.extend(" ".join(map(str, _indices(e))) for e in H.edges)
-    return "\n".join(lines) + "\n"
+    return json.dumps({"n": M.n, "r": M.r, "bases": [index_list(b) for b in M.bases]})
 
 
 def _content_lines(text: str):
@@ -64,33 +52,33 @@ def _content_lines(text: str):
     return out
 
 
-def _parse_header_pair(lineno, text, key1, key2):
+def _parse_size_line(lineno, text):
     parts = text.split()
-    if len(parts) != 4 or parts[0] != key1 or parts[2] != key2:
-        raise ParseError(lineno, f"expected '{key1} <int> {key2} <int>', got {text!r}")
+    if len(parts) != 4 or parts[0] != "n" or parts[2] != "r":
+        raise ParseError(lineno, f"expected 'n <int> r <int>', got {text!r}")
     try:
         return int(parts[1]), int(parts[3])
     except ValueError:
         raise ParseError(lineno, f"non-integer value in {text!r}") from None
 
 
-def _parse_body(lines, magic, key2, count_word):
+def _parse_text(lines):
     if not lines:
         raise ParseError(1, "empty input")
     lineno, header = lines[0]
-    if header != magic:
-        raise ParseError(lineno, f"malformed header: expected {magic!r}, got {header!r}")
+    if header != "MATROID v1":
+        raise ParseError(lineno, f"malformed header: expected 'MATROID v1', got {header!r}")
     if len(lines) < 3:
         raise ParseError(lineno, "truncated file: missing size or count line")
-    n, r = _parse_header_pair(lines[1][0], lines[1][1], "n", key2)
+    n, r = _parse_size_line(lines[1][0], lines[1][1])
     cl_no, cl = lines[2][0], lines[2][1]
     parts = cl.split()
-    if len(parts) != 2 or parts[0] != count_word or not parts[1].isdigit():
-        raise ParseError(cl_no, f"expected '{count_word} <count>', got {cl!r}")
+    if len(parts) != 2 or parts[0] != "bases" or not parts[1].isdigit():
+        raise ParseError(cl_no, f"expected 'bases <count>', got {cl!r}")
     count = int(parts[1])
     rows = lines[3:]
     if len(rows) != count:
-        raise ParseError(cl_no, f"{count_word} count {count} but {len(rows)} rows follow")
+        raise ParseError(cl_no, f"bases count {count} but {len(rows)} rows follow")
     masks = []
     for lineno, row in rows:
         try:
@@ -117,32 +105,28 @@ def parse_matroid(text: str) -> Matroid:
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, f"bad JSON: {exc.msg}") from None
         try:
-            n, r, rows = int(doc["n"]), int(doc["r"]), doc["bases"]
-        except (KeyError, TypeError, ValueError):
+            n, r, rows = doc["n"], doc["r"], doc["bases"]
+        except KeyError:
             raise MatroidError("JSON matroid needs keys n, r, bases") from None
+        # bool is a subclass of int, but true is not a size or an index
+        if type(n) is not int or type(r) is not int:
+            raise MatroidError("JSON matroid needs integer n and r")
+        if not isinstance(rows, list):
+            raise MatroidError("JSON matroid needs a list of bases")
         masks = []
         for row in rows:
-            if any(not isinstance(i, int) or i < 0 or i >= n for i in row):
+            if not isinstance(row, list) or any(type(i) is not int for i in row):
+                raise MatroidError(f"basis {row!r} is not a list of integer indices")
+            if any(i < 0 or i >= n for i in row):
                 raise MatroidError(f"index out of range 0..{n - 1} in {row!r}")
             if len(set(row)) != len(row) or len(row) != r:
                 raise MatroidError(f"row {row!r} is not an r-set")
             masks.append(mask_of(row))
         return Matroid.from_bases(n, masks)
-    n, r, masks = _parse_body(_content_lines(text), "MATROID v1", "r", "bases")
+    n, r, masks = _parse_text(_content_lines(text))
     return Matroid.from_bases(n, masks)
 
 
 def parse_matroid_file(path) -> Matroid:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_matroid(fh.read())
-
-
-def parse_hypergraph(text: str) -> UniformHypergraph:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        return UniformHypergraph.from_edges(
-            int(doc["n"]), int(doc["k"]), (mask_of(row) for row in doc["edges"])
-        )
-    v, k, masks = _parse_body(_content_lines(text), "HYPERGRAPH v1", "k", "edges")
-    return UniformHypergraph.from_edges(v, k, masks)

@@ -33,15 +33,3 @@ def linear_matroids(draw, min_n=2, max_n=7, max_dim=4):
 @pytest.fixture
 def rng():
     return random.Random(987654321)
-
-
-def random_linear(rng, min_n=2, max_n=7):
-    while True:
-        q = rng.choice((2, 3))
-        n = rng.randint(min_n, max_n)
-        dim = rng.randint(1, min(4, n))
-        cols = [tuple(rng.randrange(q) for _ in range(dim)) for _ in range(n)]
-        if any(any(c) for c in cols):
-            M = matroid_from_vectors(cols, q)
-            if M.r >= 1:
-                return M

@@ -4,6 +4,7 @@ Each one is the direct, unpruned form of a fast path in the package, kept
 so that the fast path can be checked against it.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -12,6 +13,16 @@ import numpy as np
 from turan_matroids.bitsets import bit_indices, mask_of, popcount, subsets_of_size
 from turan_matroids.geometry import lines_of, rank3_from_lines, rank3_multiline
 from turan_matroids.matroid import Matroid, MatroidError, parallel_blowup, validate_exchange
+
+
+def projective_basis_count_recursive(r: int, t: int) -> Fraction:
+    """b(r, t) through the recursion b(r) = b(r-1) t^{r-1} (t^r - 1) / (r (t-1))."""
+    if r < 1 or t < 2:
+        raise MatroidError("need r >= 1 and t >= 2")
+    value = Fraction(1)
+    for j in range(2, r + 1):
+        value = value * t ** (j - 1) * (t**j - 1) / (j * (t - 1))
+    return value
 
 
 def exchange_violation_oracle(n: int, family):

@@ -9,17 +9,14 @@ from turan_matroids.bounds import (
     closed_form,
     euler_product_interval,
     ex_u1,
-    ex_u23,
     ex_u34_even,
     ex_u34_odd_leading,
     ex_u35,
     kung_point_bound,
     largest_prime_power_leq,
     pi_u34,
-    pi_u35,
     prime_band,
     projective_basis_count,
-    projective_basis_count_recursive,
     rank3_lower_even,
     rank3_lower_odd,
     u2_density,
@@ -27,6 +24,8 @@ from turan_matroids.bounds import (
     u2_max_bases_bound,
 )
 from turan_matroids.matroid import MatroidError
+
+from oracles import projective_basis_count_recursive
 
 
 def test_basis_count_formula_values():

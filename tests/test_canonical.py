@@ -1,15 +1,15 @@
 """Canonical labeling and isomorphism testing against brute force."""
 
-import random
 from itertools import permutations
 
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bitsets import mask_of
 from turan_matroids.canonical import are_isomorphic, canonical_bases, dedupe_isomorphic
 from turan_matroids.geometry import projective_geometry, two_disjoint_lines, uniform
 
-from conftest import linear_matroids, random_linear
+from conftest import linear_matroids
 
 
 def brute_force_canonical(n, bases):
@@ -35,7 +35,7 @@ def test_canonical_matches_brute_force_structured():
 
 def test_canonical_invariant_under_relabeling(rng):
     for _ in range(30):
-        M = random_linear(rng, min_n=3, max_n=7)
+        M = random_linear_matroid(rng, min_n=3, max_n=7)
         perm = list(range(M.n))
         rng.shuffle(perm)
         relabeled = [mask_of(perm[e] for e in range(M.n) if b >> e & 1) for b in M.bases]
@@ -51,7 +51,7 @@ def test_canonical_fano_is_relabeling_of_input():
 
 def test_are_isomorphic_detects_relabelings(rng):
     for _ in range(30):
-        M = random_linear(rng, min_n=3, max_n=7)
+        M = random_linear_matroid(rng, min_n=3, max_n=7)
         perm = list(range(M.n))
         rng.shuffle(perm)
         relabeled = [mask_of(perm[e] for e in range(M.n) if b >> e & 1) for b in M.bases]

@@ -24,7 +24,7 @@ from turan_matroids.geometry import (
     two_disjoint_lines,
     uniform,
 )
-from turan_matroids.matroid import MatroidError, rank_of, simplify, validate_exchange
+from turan_matroids.matroid import MatroidError, validate_exchange
 from turan_matroids.minors import has_uniform_minor, has_uniform_restriction
 from turan_matroids.rank3 import (
     NoU25Minor,

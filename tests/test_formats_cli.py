@@ -10,32 +10,28 @@ from fractions import Fraction
 import pytest
 
 from turan_matroids import lagrangian
+from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bounds import prime_band
 from turan_matroids.cli import main
 from turan_matroids.formats import (
     ParseError,
-    parse_hypergraph,
     parse_matroid,
-    serialize_hypergraph,
     serialize_matroid,
     serialize_matroid_json,
 )
 from turan_matroids.geometry import projective_geometry, uniform
-from turan_matroids.hypergraphs import basis_hypergraph
 from turan_matroids.matroid import MatroidError
-
-from conftest import random_linear
 
 
 def test_text_round_trip_random(rng):
     for _ in range(100):
-        M = random_linear(rng, min_n=2, max_n=7)
+        M = random_linear_matroid(rng, min_n=2, max_n=7)
         assert parse_matroid(serialize_matroid(M)) == M
 
 
 def test_json_round_trip_random(rng):
     for _ in range(100):
-        M = random_linear(rng, min_n=2, max_n=7)
+        M = random_linear_matroid(rng, min_n=2, max_n=7)
         assert parse_matroid(serialize_matroid_json(M)) == M
 
 
@@ -83,11 +79,6 @@ def test_empty_bases_rejected():
     with pytest.raises(MatroidError) as err:
         parse_matroid("MATROID v1\nn 3 r 2\nbases 0\n")
     assert "nonempty" in str(err.value)
-
-
-def test_hypergraph_round_trip():
-    H = basis_hypergraph(uniform(2, 4))
-    assert parse_hypergraph(serialize_hypergraph(H)) == H
 
 
 def run_cli(argv, stdin_text=""):
@@ -263,6 +254,33 @@ def test_cli_usage_errors_exit_1():
     assert code == 1
 
 
+def bases_error(capsys, stdin_text):
+    """stderr of ``bases`` on an input it must reject with exit 1."""
+    code, out = run_cli(["bases"], stdin_text=stdin_text)
+    assert code == 1 and out == ""
+    return capsys.readouterr().err
+
+
+def test_cli_json_bases_not_a_list_exits_1(capsys):
+    err = bases_error(capsys, '{"n": 3, "r": 2, "bases": 5}')
+    assert err == "error: JSON matroid needs a list of bases\n"
+
+
+def test_cli_json_basis_not_a_list_exits_1(capsys):
+    err = bases_error(capsys, '{"n": 3, "r": 2, "bases": [5]}')
+    assert err == "error: basis 5 is not a list of integer indices\n"
+
+
+def test_cli_json_bool_index_exits_1(capsys):
+    err = bases_error(capsys, '{"n": 3, "r": 1, "bases": [[true]]}')
+    assert err == "error: basis [True] is not a list of integer indices\n"
+
+
+def test_cli_json_non_integer_size_exits_1(capsys):
+    for text in ('{"n": 3.9, "r": 2, "bases": [[0, 1]]}', '{"n": 3, "r": true, "bases": [[2]]}'):
+        assert bases_error(capsys, text) == "error: JSON matroid needs integer n and r\n"
+
+
 def test_cli_blowup_pipeline():
     _, fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])
     code, out = run_cli(
@@ -289,7 +307,7 @@ def test_cli_verify_theorems_failure_exits_2(monkeypatch):
     from turan_matroids import acceptance
 
     def fake_run_suite(suite="all"):
-        return [acceptance.AcceptanceResult("synthetic", False, "forced failure", ("all",))]
+        return [acceptance.AcceptanceResult("synthetic", False, "forced failure")]
 
     monkeypatch.setattr(acceptance, "run_suite", fake_run_suite)
     code, out = run_cli(["verify-theorems"])

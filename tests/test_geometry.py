@@ -1,7 +1,5 @@
 """Finite fields and the explicit matroid constructions."""
 
-from itertools import combinations
-
 import pytest
 
 from turan_matroids.bitsets import popcount
@@ -13,7 +11,6 @@ from turan_matroids.geometry import (
     lines_of,
     matroid_from_vectors,
     projective_geometry,
-    projective_points,
     rank3_from_lines,
     rank3_multiline,
     two_disjoint_lines,

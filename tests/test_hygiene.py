@@ -1,13 +1,15 @@
-"""Source hygiene checks on the package modules."""
+"""Source hygiene checks on the package modules and the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "turan_matroids"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "turan_matroids"
 # __init__ imports names only to re-export them through __all__
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+SOURCES.update({f"tests/{p.name}": p for p in TESTS.glob("*.py")})
 
 
 def unused_imports(source: str):
@@ -36,6 +38,6 @@ def test_unused_imports_detected():
     assert unused_imports(source) == [(1, "os"), (2, "comb")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_no_unused_imports(name):
+    assert unused_imports(SOURCES[name].read_text()) == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from turan_matroids import lagrangian
+from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.geometry import bose_burton, projective_geometry, uniform
 from turan_matroids.lagrangian import (
     maximize,
@@ -21,7 +22,6 @@ from turan_matroids.matroid import (
 )
 from turan_matroids.rank3 import TheoremViolation
 
-from conftest import random_linear
 from oracles import grid_search_2simplex
 
 
@@ -51,7 +51,7 @@ def test_gradient_triangle():
 def test_euler_identity_random_points(rng):
     npr = np.random.default_rng(11)
     for _ in range(30):
-        M = random_linear(rng, max_n=7)
+        M = random_linear_matroid(rng, max_n=7)
         x = npr.exponential(size=M.n)
         x /= x.sum()
         resid = abs(float(np.dot(x, poly_gradient(M, x))) - M.r * poly_eval(M, x))
@@ -62,7 +62,7 @@ def test_gradient_matches_central_differences(rng):
     npr = np.random.default_rng(12)
     h = 1e-6
     for _ in range(10):
-        M = random_linear(rng, max_n=6)
+        M = random_linear_matroid(rng, max_n=6)
         x = npr.exponential(size=M.n)
         x /= x.sum()
         grad = poly_gradient(M, x)

@@ -1,12 +1,13 @@
 """Core matroid operations against hand-checked and enumerated values."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bitsets import bit_indices, mask_of, popcount
 from turan_matroids.matroid import (
     Matroid,
@@ -32,7 +33,7 @@ from turan_matroids.matroid import (
 )
 from turan_matroids.geometry import projective_geometry, projective_points, two_disjoint_lines, uniform
 
-from conftest import linear_matroids, random_linear
+from conftest import linear_matroids
 from oracles import exchange_violation_oracle
 
 
@@ -70,7 +71,7 @@ def test_exchange_violation_matches_pair_scan(rng):
         for pick in range(1, 1 << len(subsets)):
             families.append((n, [s for i, s in enumerate(subsets) if pick >> i & 1]))
     for _ in range(200):
-        M = random_linear(rng, max_n=8)
+        M = random_linear_matroid(rng, max_n=8)
         families += [(M.n, fam) for fam in _perturbations(rng, M)]
     for M in (projective_geometry(3, 3), projective_geometry(4, 2)):
         families.append((M.n, M.bases[:17] + M.bases[18:]))
@@ -282,7 +283,7 @@ def test_rank_monotone_and_submodular_exhaustively():
 def test_averaging_identity_deletion(rng):
     checked = 0
     while checked < 40:
-        M = random_linear(rng, min_n=3, max_n=7)
+        M = random_linear_matroid(rng, min_n=3, max_n=7)
         if loops_mask(M) or any(is_coloop(M, e) for e in range(M.n)) or M.n == M.r:
             continue
         total = Fraction(0)
@@ -295,7 +296,7 @@ def test_averaging_identity_deletion(rng):
 def test_averaging_identity_contraction(rng):
     checked = 0
     while checked < 40:
-        M = random_linear(rng, min_n=3, max_n=7)
+        M = random_linear_matroid(rng, min_n=3, max_n=7)
         if loops_mask(M) or M.r < 1:
             continue
         total = Fraction(0)

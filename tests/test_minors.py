@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bitsets import bit_indices, mask_of, popcount
 from turan_matroids.hypergraphs import (
     StemLinks,
@@ -28,7 +29,7 @@ from turan_matroids.minors import (
     uniform_minor_oracle,
 )
 
-from conftest import linear_matroids, random_linear
+from conftest import linear_matroids
 from oracles import daisy_completed_by_edge_oracle, matroidal_local_diagnostic
 
 
@@ -165,7 +166,7 @@ def test_minor_monotone_in_t(M):
 
 def test_minor_stable_under_minors(rng):
     for _ in range(25):
-        M = random_linear(rng, min_n=3, max_n=6)
+        M = random_linear_matroid(rng, min_n=3, max_n=6)
         for s in range(1, M.r + 1):
             for t in range(s, M.n):
                 for e in range(M.n):
@@ -197,7 +198,7 @@ def test_restriction_witness_is_uniform():
 
 def test_detector_agrees_with_oracle(rng):
     for _ in range(60):
-        M = random_linear(rng, min_n=2, max_n=6)
+        M = random_linear_matroid(rng, min_n=2, max_n=6)
         for s in range(1, M.r + 1):
             for t in range(s, M.n + 1):
                 assert has_uniform_minor(M, s, t)[0] == uniform_minor_oracle(M, s, t)

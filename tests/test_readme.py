@@ -25,11 +25,17 @@ def run_pipeline(command: str) -> str:
 
 
 def test_readme_cli_examples():
-    examples = re.findall(r"^(turan-matroids .*?)\s+# (\S+)$", README, re.MULTILINE)
-    assert [expected for _, expected in examples] == ["28", "absent", "two-lines", "4", "224", "7"]
+    examples = re.findall(r"^(turan-matroids .*?)\s+# (.+)$", README, re.MULTILINE)
+    assert [expected for _, expected in examples] == [
+        "28", "absent", "two-lines", "4", "224", "7",
+        "max_bases 16", "16", "max_bases 312", "312",
+        "value 0.106508875740", "value 0.062500000000", "value 0.081632653061",
+    ]
     for command, expected in examples:
         first_line = run_pipeline(command).splitlines()[0]
-        assert first_line.split()[0] == expected, command
+        # a one-word comment is the first word, a longer one the whole line
+        got = first_line if " " in expected else first_line.split()[0]
+        assert got == expected, command
 
 
 def test_readme_lists_every_bounds_selector():
