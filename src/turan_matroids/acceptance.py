@@ -17,7 +17,6 @@ from math import comb
 import numpy as np
 
 from . import bounds as B
-from .bitsets import popcount
 from .canonical import are_isomorphic
 from .extremal import (
     exhaustive_oracle_max_bases,
@@ -106,7 +105,7 @@ def random_rank3_construction(rng: random.Random, max_n: int = 12) -> Matroid:
         ln = 0
         for e in rng.sample(range(p), size):
             ln |= 1 << e
-        if all(popcount(ln & other) <= 1 for other in lines):
+        if all((ln & other).bit_count() <= 1 for other in lines):
             lines.append(ln)
     try:
         simple = rank3_from_lines(p, lines)
@@ -355,7 +354,7 @@ def criterion_11_decomposition_certificates() -> AcceptanceResult:
                 k0_seen = True
     u34 = decompose_rank3(uniform(3, 4), 2, "odd")
     cap = comb(4, 2) * (comb(4, 2) - 1) + 4  # 34-point cap at k=0, m=2
-    u34_ok = u34.k == 0 and popcount(u34.leftover) <= cap and all(u34.certificate.values())
+    u34_ok = u34.k == 0 and u34.leftover.bit_count() <= cap and all(u34.certificate.values())
     ok = results["odd"] == 500 and results["even"] == 500 and u34_ok
     return _result(
         "11 greedy line decompositions: 500 certificates per parity, 34-point case",

@@ -3,10 +3,6 @@
 from itertools import combinations
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def bit_indices(mask: int):
     """Yield the set bits of ``mask`` in ascending order."""
     while mask:

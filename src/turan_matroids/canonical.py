@@ -14,13 +14,11 @@ quick.
 
 from __future__ import annotations
 
-from .bitsets import popcount
-
 
 def canonical_bases(n: int, bases) -> tuple:
     """Minimum sorted tuple of masks over all relabelings of {0..n-1}."""
     bases = sorted(set(bases))
-    if n <= 1 or (len(bases) == 1 and popcount(bases[0]) in (0, n)):
+    if n <= 1 or (len(bases) == 1 and bases[0].bit_count() in (0, n)):
         return tuple(bases)
 
     best = [tuple(bases)]  # identity labeling as the starting incumbent
@@ -122,12 +120,12 @@ def dedupe_isomorphic(n: int, families, cap: int | None = None):
     """
     reps = []
     for fam in families:
+        if cap is not None and len(reps) >= cap:
+            break
         fam = tuple(sorted(set(fam)))
         if any(are_isomorphic(n, fam, kept) for kept in reps):
             continue
         reps.append(fam)
-        if cap is not None and len(reps) >= cap:
-            break
     if n > CANONICAL_SIZE_LIMIT:
         return sorted(reps)
     return sorted(canonical_bases(n, fam) for fam in reps)

@@ -2,7 +2,7 @@
 
 Matroids flow between subcommands as MATROID v1 text (or the JSON mirror)
 on stdin/stdout, so invocations compose into pipelines.  Every subcommand
-accepts --json for machine-readable output with a stable key order.
+but ``tables`` (CSV) accepts --json: machine-readable, stable key order.
 
 Exit codes: 0 success, 1 usage or resource errors, 2 reserved for a failed
 certificate or theorem check (so falsifications are unmissable in CI).

@@ -21,7 +21,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .bitsets import bit_indices, mask_of, popcount
+import numpy as np
+
+from .bitsets import bit_indices, mask_of
 from .canonical import dedupe_isomorphic
 from .fields import is_prime_power
 from .bounds import largest_prime_power_leq
@@ -54,6 +56,10 @@ class SearchOptions:
     max_nodes: int = DEFAULT_MAX_NODES
     witness_cap: int = 16
     rank3_point_cap: int = 7
+
+    def __post_init__(self):
+        if self.witness_cap < 0:
+            raise MatroidError(f"witness cap {self.witness_cap} is negative")
 
 
 @dataclass(frozen=True)
@@ -419,7 +425,7 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
                 return
             for i in range(start, len(candidates)):
                 ln = candidates[i]
-                if all(popcount(ln & other) <= 1 for other in family):
+                if all((ln & other).bit_count() <= 1 for other in family):
                     family.append(ln)
                     dfs(i + 1, family, free)
                     family.pop()
@@ -442,12 +448,12 @@ def search_binary_max_bases(r: int, size: int, witness_cap: int = 16) -> SearchR
     the geometry that it contains.  Also reports whether a flat-complement
     (Bose-Burton) subset attains the maximum when ``size`` matches one.
     """
-    import numpy as np
-
     if not 1 <= r <= 4:
         raise MatroidError("exhaustive binary search supported for 1 <= r <= 4")
     if not r <= size < 1 << r:
         raise MatroidError(f"size must be in {r}..{(1 << r) - 1} for r = {r}")
+    if witness_cap < 0:
+        raise MatroidError(f"witness cap {witness_cap} is negative")
     pg = projective_geometry(r, 2)
     basis_set = set(pg.bases)
     bases = np.array(pg.bases, dtype=np.int64)

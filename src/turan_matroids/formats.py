@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from .bitsets import index_list, mask_of, popcount
+from .bitsets import index_list, mask_of
 from .matroid import Matroid, MatroidError
 
 
@@ -79,7 +79,7 @@ def _parse_text(lines):
     rows = lines[3:]
     if len(rows) != count:
         raise ParseError(cl_no, f"bases count {count} but {len(rows)} rows follow")
-    masks = []
+    masks = set()
     for lineno, row in rows:
         try:
             idx = [int(tok) for tok in row.split()]
@@ -88,11 +88,13 @@ def _parse_text(lines):
         if any(i < 0 or i >= n for i in idx):
             raise ParseError(lineno, f"index out of range 0..{n - 1} in {row!r}")
         mask = mask_of(idx)
-        if popcount(mask) != len(idx):
+        if mask.bit_count() != len(idx):
             raise ParseError(lineno, f"repeated index in {row!r}")
         if len(idx) != r:
             raise ParseError(lineno, f"row has {len(idx)} indices, expected {r}")
-        masks.append(mask)
+        if mask in masks:
+            raise ParseError(lineno, f"repeated basis {row!r}")
+        masks.add(mask)
     return n, r, masks
 
 
@@ -113,7 +115,7 @@ def parse_matroid(text: str) -> Matroid:
             raise MatroidError("JSON matroid needs integer n and r")
         if not isinstance(rows, list):
             raise MatroidError("JSON matroid needs a list of bases")
-        masks = []
+        masks = set()
         for row in rows:
             if not isinstance(row, list) or any(type(i) is not int for i in row):
                 raise MatroidError(f"basis {row!r} is not a list of integer indices")
@@ -121,7 +123,9 @@ def parse_matroid(text: str) -> Matroid:
                 raise MatroidError(f"index out of range 0..{n - 1} in {row!r}")
             if len(set(row)) != len(row) or len(row) != r:
                 raise MatroidError(f"row {row!r} is not an r-set")
-            masks.append(mask_of(row))
+            if mask_of(row) in masks:
+                raise MatroidError(f"repeated basis {row!r}")
+            masks.add(mask_of(row))
         return Matroid.from_bases(n, masks)
     n, r, masks = _parse_text(_content_lines(text))
     return Matroid.from_bases(n, masks)

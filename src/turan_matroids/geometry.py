@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .bitsets import mask_of
 from .fields import GaloisField, make_field
-from .matroid import MAX_GROUND_SET, Matroid, MatroidError
+from .matroid import MAX_GROUND_SET, Matroid, MatroidError, closure, rank_of
 
 
 def projective_points(r: int, q: int):
@@ -200,8 +200,6 @@ def lines_of(M: Matroid):
     Requires rank >= 2.  Every line is the closure of an independent pair
     and contains all loops of M.
     """
-    from .matroid import closure, rank_of
-
     if M.r < 2:
         raise MatroidError("lines need rank >= 2")
     seen = set()

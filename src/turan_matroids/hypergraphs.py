@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitsets import bit_indices, mask_of, popcount, subsets_of_size
+from .bitsets import bit_indices, mask_of, subsets_of_size
 from .matroid import Matroid, MatroidError, validate_exchange
 
 
@@ -34,7 +34,7 @@ class UniformHypergraph:
         for e in members:
             if e & ~full:
                 raise MatroidError(f"edge {e:#x} outside the {v}-element vertex set")
-            if popcount(e) != k:
+            if e.bit_count() != k:
                 raise MatroidError(f"edge {e:#x} is not {k}-uniform")
         return cls(v, k, members)
 
@@ -99,35 +99,29 @@ def _complete_extension(link, chosen, faces, candidates, need, s):
     return None
 
 
-def _candidate_stems(H: UniformHypergraph, d: int, min_edges: int):
-    """d-subsets contained in at least min_edges edges, ascending."""
-    if d == 0:
-        return [0] if len(H.edges) >= min_edges else []
-    counts = {}
-    for e in H.edges:
-        for sub in subsets_of_size(e, d):
-            counts[sub] = counts.get(sub, 0) + 1
-    return sorted(s for s, c in counts.items() if c >= min_edges)
-
-
 def has_daisy(H: UniformHypergraph, s: int, t: int):
     """Does H contain the daisy with petal parameters (s, t)?
 
     Returns (found, (stem_mask, petal_vertex_mask) or None).  The witness
     is lexicographically least: smallest stem first, then smallest t-set.
-    Candidate stems are read off as frequent (k-s)-subsets of edges, and
-    the petal set is grown over the link of the stem with backtracking,
-    using only vertices of degree at least C(t-1, s-1) in the link.
+    One pass over the edges builds the link of every (k-s)-subset (stem)
+    of an edge; the petal set is grown over the link of each stem with
+    C(t, s) or more members, with backtracking, using only vertices of
+    degree at least C(t-1, s-1) in the link.
     """
     if not 1 <= s <= H.k or t < s:
         raise MatroidError("need 1 <= s <= k and t >= s")
-    d = H.k - s
-    min_degree = comb(t - 1, s - 1)
-    for stem in _candidate_stems(H, d, comb(t, s)):
-        link = {e & ~stem for e in H.edges if e & stem == stem}
+    links = {}
+    for e in H.edges:
+        for stem in subsets_of_size(e, H.k - s):
+            links.setdefault(stem, []).append(e ^ stem)
+    min_edges, min_degree = comb(t, s), comb(t - 1, s - 1)
+    for stem, link in sorted(links.items()):
+        if len(link) < min_edges:
+            continue
         degree = Counter(u for e in link for u in bit_indices(e))
         candidates = sorted(u for u, c in degree.items() if c >= min_degree)
-        got = _complete_extension(link, 0, tuple(subsets_of_size(0, s - 1)), candidates, t, s)
+        got = _complete_extension(set(link), 0, tuple(subsets_of_size(0, s - 1)), candidates, t, s)
         if got is not None:
             return True, (stem, got)
     return False, None

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .bitsets import bit_indices, mask_of, popcount, shift_down_above, subsets_of_size
+from .bitsets import bit_indices, mask_of, shift_down_above, subsets_of_size
 
 MAX_GROUND_SET = 64
 
@@ -52,11 +52,11 @@ def exchange_violation(n: int, family):
     if not members:
         raise MatroidError("basis family must be nonempty")
     full = (1 << n) - 1 if n else 0
-    r = popcount(members[0])
+    r = members[0].bit_count()
     for b in members:
         if b & ~full:
             return ("range", b, None)
-        if popcount(b) != r:
+        if b.bit_count() != r:
             return ("size", members[0], b)
     family_set = set(members)
     avoider = {}  # D -> smallest member disjoint from D, or None
@@ -104,7 +104,7 @@ class Matroid:
                         f" / {list(bit_indices(b2))} at element {witness[3]}"
                     )
                 raise MatroidError(f"invalid basis family ({kind} violation)")
-        return cls(n, popcount(members[0]), members)
+        return cls(n, members[0].bit_count(), members)
 
     @property
     def basis_count(self) -> int:
@@ -123,19 +123,18 @@ def _check_subset(M: Matroid, X: int):
 def rank_of(M: Matroid, X: int) -> int:
     """Rank of X: largest part of X contained in a basis."""
     _check_subset(M, X)
-    return max(popcount(X & b) for b in M.bases)
+    return max((X & b).bit_count() for b in M.bases)
 
 
 def closure(M: Matroid, X: int) -> int:
-    """Maximal superset of X with the same rank."""
-    _check_subset(M, X)
+    """Maximal superset of X with the same rank: X plus every element that
+    lies in no basis b with |b & X| = r(X)."""
     rx = rank_of(M, X)
-    out = X
-    for e in range(M.n):
-        bit = 1 << e
-        if not X & bit and rank_of(M, X | bit) == rx:
-            out |= bit
-    return out
+    outside = 0
+    for b in M.bases:
+        if (b & X).bit_count() == rx:
+            outside |= b
+    return X | (M.full_mask & ~outside)
 
 
 def is_loop(M: Matroid, e: int) -> bool:
@@ -178,12 +177,14 @@ def contract(M: Matroid, e: int) -> Matroid:
 
 
 def restrict(M: Matroid, X: int) -> Matroid:
-    """Restriction M|X: delete everything outside X (coloop rule applies)."""
+    """Restriction M|X relabeled onto 0..|X|-1 in order: its bases are the
+    largest traces b & X of the bases of M."""
     _check_subset(M, X)
-    out = M
-    for e in sorted(bit_indices(M.full_mask & ~X), reverse=True):
-        out = delete(out, e)
-    return out
+    traces = {b & X for b in M.bases}
+    rx = max(b.bit_count() for b in traces)
+    label = {e: i for i, e in enumerate(bit_indices(X))}
+    bases = [mask_of(label[e] for e in bit_indices(b)) for b in traces if b.bit_count() == rx]
+    return Matroid.from_bases(X.bit_count(), bases, validate=False)
 
 
 def dual(M: Matroid) -> Matroid:
@@ -206,7 +207,7 @@ class SimplificationMap:
 
     @property
     def is_trivial(self) -> bool:
-        return self.loops == 0 and all(popcount(c) == 1 for c in self.classes)
+        return self.loops == 0 and all(c.bit_count() == 1 for c in self.classes)
 
 
 def parallel(M: Matroid, e: int, f: int) -> bool:
@@ -277,14 +278,14 @@ def circuits(M: Matroid):
                 continue
             if rank_of(M, x) < k:
                 found.append(x)
-    return sorted(found, key=lambda c: (popcount(c), c))
+    return sorted(found, key=lambda c: (c.bit_count(), c))
 
 
 def circumference(M: Matroid) -> int:
     """Size of a largest circuit; a free matroid (n = r) has none."""
     if M.n == M.r:
         raise MatroidError("free matroid has no circuits")
-    return max(popcount(c) for c in circuits(M))
+    return max(c.bit_count() for c in circuits(M))
 
 
 def parallel_blowup(M: Matroid, mult) -> Matroid:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitsets import bit_indices, mask_of
+from .bitsets import bit_indices, mask_of, subsets_of_size
+from .canonical import canonical_bases
 from .hypergraphs import basis_hypergraph, has_daisy
 from .matroid import Matroid, MatroidError, rank_of, validate_exchange
 
@@ -63,40 +64,41 @@ def uniform_minor_oracle(M: Matroid, s: int, t: int) -> bool:
 def has_uniform_restriction(M: Matroid, s: int, t: int):
     """Is there a t-set T with M|T uniform of rank s?
 
-    Every s-subset of T must be independent and T itself must have rank s.
+    Yes when every s-subset of T lies in a basis and no (s+1)-subset does;
+    both families are read off the bases once, and the search tests only
+    the subsets through each element it adds.
     Returns (found, T mask or None); T is lexicographically least.
     """
     if s < 0 or t < s:
         raise MatroidError("need 0 <= s <= t")
     if s > M.r or t > M.n:
         return False, None
+    if s == M.r:
+        independent, too_big = set(M.bases), set()
+    else:
+        independent, too_big = set(), set()
+        for b in M.bases:
+            independent.update(subsets_of_size(b, s))
+            too_big.update(subsets_of_size(b, s + 1))
 
-    def dfs(chosen, start):
+    def dfs(chosen, start):  # chosen holds distinct single bits: sum() is their union
         if len(chosen) == t:
-            if rank_of(M, mask_of(chosen)) == s:
-                return tuple(chosen)
-            return None
+            return sum(chosen)
         for e in range(start, M.n):
             if M.n - e < t - len(chosen):
                 break
-            ok = True
-            if s >= 1 and len(chosen) >= s - 1:
-                for sub in combinations(chosen, s - 1):
-                    if rank_of(M, mask_of(sub + (e,))) != s:
-                        ok = False
-                        break
-            if ok and rank_of(M, mask_of(chosen + [e])) > s:
-                ok = False
-            if ok:
-                got = dfs(chosen + [e], e + 1)
-                if got is not None:
-                    return got
+            bit = 1 << e
+            if s and any(sum(sub) | bit not in independent for sub in combinations(chosen, s - 1)):
+                continue
+            if too_big and any(sum(sub) | bit in too_big for sub in combinations(chosen, s)):
+                continue
+            got = dfs(chosen + [bit], e + 1)
+            if got is not None:
+                return got
         return None
 
     got = dfs([], 0)
-    if got is None:
-        return False, None
-    return True, mask_of(got)
+    return got is not None, got
 
 
 def count_matroids(n: int, r: int, up_to_iso: bool = False) -> int:
@@ -111,7 +113,6 @@ def count_matroids(n: int, r: int, up_to_iso: bool = False) -> int:
         raise MatroidError(f"budget exceeded: 2^{m} candidate families")
     if up_to_iso and n > 5:
         raise MatroidError("isomorphism reduction supported only for n <= 5")
-    from .canonical import canonical_bases
 
     count = 0
     seen = set()

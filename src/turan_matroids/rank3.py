@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .bitsets import bit_indices, popcount
+from .bitsets import bit_indices
 from .geometry import lines_of
 from .matroid import Matroid, MatroidError, is_simple, restrict
 from .minors import has_uniform_minor, has_uniform_restriction
@@ -42,7 +42,7 @@ def _certificate_checks(M: Matroid, m: int, k: int, leftover: int, parity: str) 
     """The theorem's conclusions about the leftover set, checked directly."""
     mk = m - k
     checks = {}
-    y_count = popcount(leftover)
+    y_count = leftover.bit_count()
     if parity == "odd":
         forbid_t = 2 * mk + 1
         point_cap = comb(2 * mk, 2) * (comb(2 * mk, 2) - 1) + 2 * mk
@@ -97,11 +97,11 @@ def decompose_rank3(M: Matroid, m: int, parity: str) -> Rank3Decomposition:
         for i in range(1, m + 1):
             need = _threshold(m, i, parity, bump)
             candidates = {
-                ln & remaining for ln in all_lines if popcount(ln & remaining) >= need
+                ln & remaining for ln in all_lines if (ln & remaining).bit_count() >= need
             }
             if not candidates:
                 break
-            best = max(candidates, key=lambda ln: (popcount(ln), -ln))
+            best = max(candidates, key=lambda ln: (ln.bit_count(), -ln))
             lines.append(best)
             remaining &= ~best
         k = len(lines)
@@ -144,7 +144,7 @@ def classify_u35_free(M: Matroid):
         for l2 in lines:
             if l1 == l2:
                 continue
-            if popcount(l1 & ~l2) >= 4 and popcount(l2 & ~l1) >= 2:
+            if (l1 & ~l2).bit_count() >= 4 and (l2 & ~l1).bit_count() >= 2:
                 if (l1 | l2) != full:
                     raise TheoremViolation(
                         "good line pair does not cover the ground set"
@@ -170,13 +170,13 @@ def line_cover_number(M: Matroid) -> int:
         raise MatroidError("ground set too large for the exact cover search")
     lines = lines_of(M)
     full = M.full_mask
-    max_line = max(popcount(ln) for ln in lines)
+    max_line = max(ln.bit_count() for ln in lines)
     through = {e: [ln for ln in lines if ln >> e & 1] for e in range(M.n)}
 
     best = [len(lines) + 1]
 
     def bound(uncovered: int) -> int:
-        return (popcount(uncovered) + max_line - 1) // max_line
+        return (uncovered.bit_count() + max_line - 1) // max_line
 
     def dfs(uncovered: int, used: int):
         if not uncovered:

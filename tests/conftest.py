@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from turan_matroids.geometry import matroid_from_vectors
+from turan_matroids.acceptance import random_linear_matroid
+from turan_matroids.geometry import (
+    matroid_from_vectors,
+    projective_geometry,
+    rank3_multiline,
+    two_disjoint_lines,
+)
 
 settings.register_profile(
     "toolkit",
@@ -33,3 +39,17 @@ def linear_matroids(draw, min_n=2, max_n=7, max_dim=4):
 @pytest.fixture
 def rng():
     return random.Random(987654321)
+
+
+def oracle_matroids():
+    """200 random linear matroids on at most 9 elements, then PG(3,3),
+    PG(4,2) and two rank-3 line arrangements: the inputs on which fast
+    paths are compared with their references in ``oracles``."""
+    rng = random.Random(20240607)
+    out = [random_linear_matroid(rng, max_n=9) for _ in range(200)]
+    return out + [
+        projective_geometry(3, 3),
+        projective_geometry(4, 2),
+        two_disjoint_lines(5, 6),
+        rank3_multiline([4, 4, 3], 2),
+    ]

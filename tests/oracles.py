@@ -4,15 +4,24 @@ Each one is the direct, unpruned form of a fast path in the package, kept
 so that the fast path can be checked against it.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from turan_matroids.bitsets import bit_indices, mask_of, popcount, subsets_of_size
+from turan_matroids.bitsets import bit_indices, mask_of, subsets_of_size
 from turan_matroids.geometry import lines_of, rank3_from_lines, rank3_multiline
-from turan_matroids.matroid import Matroid, MatroidError, parallel_blowup, validate_exchange
+from turan_matroids.hypergraphs import _complete_extension
+from turan_matroids.matroid import (
+    Matroid,
+    MatroidError,
+    delete,
+    parallel_blowup,
+    rank_of,
+    validate_exchange,
+)
 
 
 def projective_basis_count_recursive(r: int, t: int) -> Fraction:
@@ -37,11 +46,11 @@ def exchange_violation_oracle(n: int, family):
     if not members:
         raise MatroidError("basis family must be nonempty")
     full = (1 << n) - 1 if n else 0
-    r = popcount(members[0])
+    r = members[0].bit_count()
     for b in members:
         if b & ~full:
             return ("range", b, None)
-        if popcount(b) != r:
+        if b.bit_count() != r:
             return ("size", members[0], b)
     family_set = set(members)
     for b1 in members:
@@ -194,3 +203,94 @@ def daisy_completed_by_edge_oracle(edges_set, k: int, s: int, t: int, new_edge: 
         if _grow_complete_subset(link, support, s, t, forced=forced) is not None:
             return True
     return False
+
+
+def closure_oracle(M: Matroid, X: int) -> int:
+    """Maximal superset of X with the same rank, one rank query per element."""
+    rx = rank_of(M, X)
+    out = X
+    for e in range(M.n):
+        bit = 1 << e
+        if not X & bit and rank_of(M, X | bit) == rx:
+            out |= bit
+    return out
+
+
+def restrict_oracle(M: Matroid, X: int) -> Matroid:
+    """Restriction M|X: delete everything outside X (coloop rule applies)."""
+    out = M
+    for e in sorted(bit_indices(M.full_mask & ~X), reverse=True):
+        out = delete(out, e)
+    return out
+
+
+def has_uniform_restriction_oracle(M: Matroid, s: int, t: int):
+    """Is there a t-set T with M|T uniform of rank s?
+
+    Every s-subset of T must be independent and T itself must have rank s,
+    both checked by rank queries.  Returns (found, T mask or None); T is
+    lexicographically least.
+    """
+    if s < 0 or t < s:
+        raise MatroidError("need 0 <= s <= t")
+    if s > M.r or t > M.n:
+        return False, None
+
+    def dfs(chosen, start):
+        if len(chosen) == t:
+            if rank_of(M, mask_of(chosen)) == s:
+                return tuple(chosen)
+            return None
+        for e in range(start, M.n):
+            if M.n - e < t - len(chosen):
+                break
+            ok = True
+            if s >= 1 and len(chosen) >= s - 1:
+                for sub in combinations(chosen, s - 1):
+                    if rank_of(M, mask_of(sub + (e,))) != s:
+                        ok = False
+                        break
+            if ok and rank_of(M, mask_of(chosen + [e])) > s:
+                ok = False
+            if ok:
+                got = dfs(chosen + [e], e + 1)
+                if got is not None:
+                    return got
+        return None
+
+    got = dfs([], 0)
+    if got is None:
+        return False, None
+    return True, mask_of(got)
+
+
+def _candidate_stems(H, d: int, min_edges: int):
+    """d-subsets contained in at least min_edges edges, ascending."""
+    if d == 0:
+        return [0] if len(H.edges) >= min_edges else []
+    counts = {}
+    for e in H.edges:
+        for sub in subsets_of_size(e, d):
+            counts[sub] = counts.get(sub, 0) + 1
+    return sorted(s for s, c in counts.items() if c >= min_edges)
+
+
+def has_daisy_oracle(H, s: int, t: int):
+    """Does H contain the daisy with petal parameters (s, t)?
+
+    Counts the frequent (k-s)-subsets of edges first, then rebuilds each
+    candidate stem's link by a scan of all edges.  Returns (found,
+    (stem_mask, petal_vertex_mask) or None), lexicographically least.
+    """
+    if not 1 <= s <= H.k or t < s:
+        raise MatroidError("need 1 <= s <= k and t >= s")
+    d = H.k - s
+    min_degree = comb(t - 1, s - 1)
+    for stem in _candidate_stems(H, d, comb(t, s)):
+        link = {e & ~stem for e in H.edges if e & stem == stem}
+        degree = Counter(u for e in link for u in bit_indices(e))
+        candidates = sorted(u for u, c in degree.items() if c >= min_degree)
+        got = _complete_extension(link, 0, tuple(subsets_of_size(0, s - 1)), candidates, t, s)
+        if got is not None:
+            return True, (stem, got)
+    return False, None

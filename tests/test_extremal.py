@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from turan_matroids.bitsets import popcount
 from turan_matroids.bounds import ex_u35
 from turan_matroids.canonical import dedupe_isomorphic
 from turan_matroids.extremal import (
@@ -199,7 +198,7 @@ def test_decompose_two_long_lines():
 def test_decompose_u34_leftover_case():
     dec = decompose_rank3(uniform(3, 4), 2, "odd")
     assert dec.k == 0
-    assert popcount(dec.leftover) == 4 <= 34
+    assert dec.leftover.bit_count() == 4 <= 34
     assert all(dec.certificate.values())
 
 

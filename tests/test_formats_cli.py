@@ -281,6 +281,43 @@ def test_cli_json_non_integer_size_exits_1(capsys):
         assert bases_error(capsys, text) == "error: JSON matroid needs integer n and r\n"
 
 
+def test_cli_text_repeated_basis_exits_1(capsys):
+    err = bases_error(capsys, "MATROID v1\nn 3 r 2\nbases 2\n0 1\n0 1\n")
+    assert err == "error: line 5: repeated basis '0 1'\n"
+
+
+def test_cli_json_repeated_basis_exits_1(capsys):
+    err = bases_error(capsys, '{"n": 3, "r": 2, "bases": [[0,1],[1,0]]}')
+    assert err == "error: repeated basis [1, 0]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["search", "--n", "4", "--r", "2", "--forbid", "2,3"], "witnesses 0"),
+        (["search", "--backend", "rank3", "--n", "6", "--r", "3", "--forbid", "2,4"], "witnesses 0"),
+        (["binary-search", "--r", "3", "--size", "6", "--json"], '"witness_count": 0'),
+    ],
+)
+def test_cli_witness_cap_zero_keeps_no_witness(argv, line):
+    code, out = run_cli(argv + ["--witness-cap", "0"])
+    assert code == 0 and line in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "4", "--r", "2", "--forbid", "2,3"],
+        ["search", "--backend", "rank3", "--n", "6", "--r", "3", "--forbid", "2,4"],
+        ["binary-search", "--r", "3", "--size", "6"],
+    ],
+)
+def test_cli_negative_witness_cap_exits_1(argv, capsys):
+    code, out = run_cli(argv + ["--witness-cap", "-1"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: witness cap -1 is negative\n"
+
+
 def test_cli_blowup_pipeline():
     _, fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])
     code, out = run_cli(

@@ -2,7 +2,6 @@
 
 import pytest
 
-from turan_matroids.bitsets import popcount
 from turan_matroids.bounds import kung_point_bound, projective_basis_count
 from turan_matroids.fields import FieldError, make_field, smallest_irreducible
 from turan_matroids.geometry import (
@@ -103,7 +102,7 @@ def test_bose_burton_point_count_formula():
 def test_bose_burton_avoids_small_flats():
     # removing a rank-(r-1) flat from the binary geometry leaves no full line
     bb = bose_burton(3, 2, 1)
-    assert all(popcount(ln) <= 2 for ln in lines_of(bb))
+    assert all(ln.bit_count() <= 2 for ln in lines_of(bb))
     # at c = 2 only 6 of the 7 points remain, so no embedded 7-point plane
     assert bose_burton(3, 2, 2).n == 6
 
@@ -192,4 +191,4 @@ def test_lines_of_fano():
     pg = projective_geometry(3, 2)
     lines = lines_of(pg)
     assert len(lines) == 7
-    assert all(popcount(ln) == 3 for ln in lines)
+    assert all(ln.bit_count() == 3 for ln in lines)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from turan_matroids.acceptance import random_linear_matroid
-from turan_matroids.bitsets import bit_indices, mask_of, popcount
+from turan_matroids.bitsets import bit_indices, mask_of
 from turan_matroids.matroid import (
     Matroid,
     MatroidError,
@@ -27,14 +27,15 @@ from turan_matroids.matroid import (
     loops_mask,
     parallel_blowup,
     rank_of,
+    restrict,
     simplify,
     truncate,
     validate_exchange,
 )
 from turan_matroids.geometry import projective_geometry, projective_points, two_disjoint_lines, uniform
 
-from conftest import linear_matroids
-from oracles import exchange_violation_oracle
+from conftest import linear_matroids, oracle_matroids
+from oracles import closure_oracle, exchange_violation_oracle, restrict_oracle
 
 
 def test_exchange_accepts_triangle():
@@ -97,7 +98,7 @@ def test_rank_of_uniform():
 def test_rank_of_fano_line():
     pg = projective_geometry(3, 2)
     line = closure(pg, 0b11)
-    assert popcount(line) == 3
+    assert line.bit_count() == 3
     assert rank_of(pg, line) == 2
 
 
@@ -145,7 +146,7 @@ def test_contract_fano_simplifies_to_triangle():
     pg = projective_geometry(3, 2)
     simple, smap = simplify(contract(pg, 0))
     assert simple.bases == uniform(2, 3).bases
-    assert sorted(popcount(c) for c in smap.classes) == [2, 2, 2]
+    assert sorted(c.bit_count() for c in smap.classes) == [2, 2, 2]
 
 
 @given(linear_matroids(min_n=3))
@@ -185,7 +186,7 @@ def test_blowup_then_simplify_roundtrip():
     blown = parallel_blowup(M, [2, 2, 2])
     simple, smap = simplify(blown)
     assert simple.bases == M.bases
-    assert sorted(popcount(c) for c in smap.classes) == [2, 2, 2]
+    assert sorted(c.bit_count() for c in smap.classes) == [2, 2, 2]
 
 
 def test_direct_sum_counts():
@@ -324,3 +325,20 @@ def test_simplify_preserves_rank_and_simplicity(M):
     simple, _ = simplify(M)
     assert simple.r == M.r
     assert is_simple(simple)
+
+
+def oracle_subsets(M, rng):
+    """The empty set, the ground set and ten random subsets of it."""
+    return [0, M.full_mask] + [rng.getrandbits(M.n) for _ in range(10)]
+
+
+def test_closure_matches_oracle(rng):
+    for M in oracle_matroids():
+        for X in oracle_subsets(M, rng):
+            assert closure(M, X) == closure_oracle(M, X), (M, X)
+
+
+def test_restrict_matches_oracle(rng):
+    for M in oracle_matroids():
+        for X in oracle_subsets(M, rng):
+            assert restrict(M, X) == restrict_oracle(M, X), (M, X)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from turan_matroids.acceptance import random_linear_matroid
-from turan_matroids.bitsets import bit_indices, mask_of, popcount
+from turan_matroids.bitsets import bit_indices, mask_of
 from turan_matroids.hypergraphs import (
     StemLinks,
     UniformHypergraph,
@@ -29,8 +29,13 @@ from turan_matroids.minors import (
     uniform_minor_oracle,
 )
 
-from conftest import linear_matroids
-from oracles import daisy_completed_by_edge_oracle, matroidal_local_diagnostic
+from conftest import linear_matroids, oracle_matroids
+from oracles import (
+    daisy_completed_by_edge_oracle,
+    has_daisy_oracle,
+    has_uniform_restriction_oracle,
+    matroidal_local_diagnostic,
+)
 
 
 def test_basis_hypergraph_of_uniform_is_complete():
@@ -88,7 +93,7 @@ def test_daisy_witness_is_valid():
     H = basis_hypergraph(uniform(3, 6))
     found, (stem, petals) = has_daisy(H, 2, 4)
     assert found and stem & petals == 0
-    assert popcount(stem) == 1 and popcount(petals) == 4
+    assert stem.bit_count() == 1 and petals.bit_count() == 4
     edge_set = set(H.edges)
     for pair in combinations(list(bit_indices(petals)), 2):
         assert stem | mask_of(pair) in edge_set
@@ -150,7 +155,7 @@ def test_minor_witness_maps_to_uniform_minor():
     M = uniform(3, 6)
     found, w = has_uniform_minor(M, 2, 4)
     assert found
-    assert rank_of(M, w.contracted) == popcount(w.contracted)
+    assert rank_of(M, w.contracted) == w.contracted.bit_count()
     for sub in combinations(list(bit_indices(w.selected)), 2):
         assert rank_of(M, w.contracted | mask_of(sub)) == M.r
 
@@ -190,7 +195,7 @@ def test_has_uniform_restriction_examples():
 def test_restriction_witness_is_uniform():
     M = rank3_multiline([3, 3, 3])
     found, subset = has_uniform_restriction(M, 3, 5)
-    assert found and popcount(subset) == 5
+    assert found and subset.bit_count() == 5
     assert rank_of(M, subset) == 3
     for sub in combinations(list(bit_indices(subset)), 3):
         assert rank_of(M, mask_of(sub)) == 3
@@ -221,9 +226,29 @@ def test_count_matroids_up_to_iso():
     # 7 labeled rank-2 families on a 3-set: three singletons, three pairs,
     # and the full triangle, giving 3 relabeling classes
     assert count_matroids(3, 2, up_to_iso=True) == 3
+    # unlabeled matroids on n = 0..5 elements (Mayhew and Royle)
+    totals = [sum(count_matroids(n, r, up_to_iso=True) for r in range(n + 1)) for n in range(6)]
+    assert totals == [1, 2, 4, 8, 17, 38]
+    assert [count_matroids(5, r, up_to_iso=True) for r in range(6)] == [1, 5, 13, 13, 5, 1]
 
 
 def test_bell_numbers():
     assert [bell_number(k) for k in range(7)] == [1, 1, 2, 5, 15, 52, 203]
     for n in range(1, 9):
         assert bell_number(n + 1) <= (n + 1) ** (n + 1)
+
+
+def test_has_uniform_restriction_matches_oracle():
+    for M in oracle_matroids():
+        for s in range(M.r + 1):
+            for t in range(s, M.n + 1):
+                expected = has_uniform_restriction_oracle(M, s, t)
+                assert has_uniform_restriction(M, s, t) == expected, (M, s, t)
+
+
+def test_has_daisy_matches_oracle():
+    for M in oracle_matroids():
+        H = basis_hypergraph(M)
+        for s in range(1, M.r + 1):
+            for t in range(s, M.n + 1):
+                assert has_daisy(H, s, t) == has_daisy_oracle(H, s, t), (M, s, t)
