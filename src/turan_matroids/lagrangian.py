@@ -34,36 +34,68 @@ DEFAULT_SEED = 0x5EED
 FREEZE_EPS = 1e-15
 
 
-def poly_eval(M: Matroid, x) -> float:
-    """p(x): compensated sum of basis monomials in sorted-basis order."""
+class _BasisPolynomial:
+    """p and its gradient for one matroid, evaluated with array arithmetic.
+
+    ``cols`` has one row per basis, holding its elements in ascending order.
+    Products are formed one factor position at a time over all bases, so
+    every monomial is still the product of its factors left to right in
+    that order.  ``order`` and ``starts`` group the gradient's terms by
+    coordinate.  Every sum is one ``math.fsum``, which rounds correctly, so
+    its result does not depend on the order of the terms.
+    """
+
+    def __init__(self, M: Matroid):
+        self.n = M.n
+        self.r = M.r
+        self.cols = np.array(
+            [list(bit_indices(b)) for b in M.bases], dtype=np.intp
+        ).reshape(len(M.bases), M.r)
+        flat = self.cols.T.ravel()
+        self.order = np.argsort(flat, kind="stable")
+        self.starts = np.searchsorted(flat[self.order], np.arange(M.n + 1)).tolist()
+
+    def _products(self, x):
+        """The factors ``xs[j]`` of the bases and ``pre``, where ``pre[j]``
+        is the product of their first j factors (``pre[r]``, the monomials)."""
+        xs = x[self.cols.T]
+        pre = np.empty((self.r + 1, len(self.cols)))
+        pre[0] = 1.0
+        for j in range(self.r):
+            np.multiply(pre[j], xs[j], out=pre[j + 1])
+        return xs, pre
+
+    def value(self, x) -> float:
+        return math.fsum(self._products(x)[1][-1].tolist())
+
+    def gradient(self, x) -> np.ndarray:
+        # the term omitting factor j is the product of the factors before
+        # it, then times each factor after it, in ascending order
+        xs, pre = self._products(x)
+        terms = pre[:-1]
+        for j in range(1, self.r):
+            terms[:j] *= xs[j]
+        flat = terms.ravel().take(self.order).tolist()
+        s = self.starts
+        return np.array([math.fsum(flat[s[i] : s[i + 1]]) for i in range(self.n)])
+
+
+def _checked_point(M: Matroid, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (M.n,):
         raise MatroidError(f"weight vector has length {x.size}, need {M.n}")
-    terms = []
-    for b in M.bases:
-        prod = 1.0
-        for i in bit_indices(b):
-            prod *= x[i]
-        terms.append(prod)
-    return math.fsum(terms)
+    return x
+
+
+def poly_eval(M: Matroid, x) -> float:
+    """p(x): compensated sum of the basis monomials."""
+    return _BasisPolynomial(M).value(_checked_point(M, x))
 
 
 def poly_gradient(M: Matroid, x) -> np.ndarray:
     """Partial derivatives dp/dx_i = sum over bases through i of the
     complementary monomials."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (M.n,):
-        raise MatroidError(f"weight vector has length {x.size}, need {M.n}")
-    per_coord = [[] for _ in range(M.n)]
-    for b in M.bases:
-        elems = list(bit_indices(b))
-        for i in elems:
-            prod = 1.0
-            for j in elems:
-                if j != i:
-                    prod *= x[j]
-            per_coord[i].append(prod)
-    return np.array([math.fsum(terms) for terms in per_coord])
+    return _BasisPolynomial(M).gradient(_checked_point(M, x))
 
 
 @dataclass(frozen=True)
@@ -79,7 +111,7 @@ class LagrangianResult:
     bound_applies: bool = True
 
 
-def _fixed_point_run(M: Matroid, x0, tol, max_iter):
+def _fixed_point_run(poly: _BasisPolynomial, x0, tol, max_iter):
     """One multiplicative-iteration run; returns (value, x, iters, converged)."""
     x = np.array(x0, dtype=float)
     x[x < FREEZE_EPS] = 0.0
@@ -87,18 +119,18 @@ def _fixed_point_run(M: Matroid, x0, tol, max_iter):
     if s <= 0:
         return 0.0, x, 0, False
     x /= s
-    value = poly_eval(M, x)
+    value = poly.value(x)
     for it in range(1, max_iter + 1):
         if value <= 0:
             return value, x, it, False
-        grad = poly_gradient(M, x)
-        x = x * grad / (M.r * value)
+        grad = poly.gradient(x)
+        x = x * grad / (poly.r * value)
         x[x < FREEZE_EPS] = 0.0
         total = x.sum()
         if total <= 0:
             return value, x, it, False
         x /= total
-        new_value = poly_eval(M, x)
+        new_value = poly.value(x)
         if abs(new_value - value) <= tol:
             return new_value, x, it, True
         value = new_value
@@ -121,6 +153,12 @@ def maximize(
     sets ``bound_applies`` to False when M has a U(2, bound_t+2)-minor and
     raises TheoremViolation when it has none.
     """
+    if not tol >= 0:
+        raise MatroidError(f"tolerance {tol} is negative or NaN")
+    if max_iter < 0:
+        raise MatroidError(f"iteration budget {max_iter} is negative")
+    if restarts < 0:
+        raise MatroidError(f"restart count {restarts} is negative")
     if M.r == 0:
         raise MatroidError("rank-0 matroid: every element is a loop")
     simple, smap = simplify(M)
@@ -130,7 +168,8 @@ def maximize(
         raw = rng.exponential(size=simple.n)
         starts.append(raw / raw.sum())
 
-    outcomes = [_fixed_point_run(simple, x0, tol, max_iter) for x0 in starts]
+    poly = _BasisPolynomial(simple)
+    outcomes = [_fixed_point_run(poly, x0, tol, max_iter) for x0 in starts]
 
     best_idx = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))
     value, x_simple, iterations, converged = outcomes[best_idx]

@@ -7,7 +7,7 @@ so that the fast path can be checked against it.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from turan_matroids.hypergraphs import _complete_extension
 from turan_matroids.matroid import (
     Matroid,
     MatroidError,
+    closure,
     delete,
     parallel_blowup,
     rank_of,
@@ -294,3 +295,55 @@ def has_daisy_oracle(H, s: int, t: int):
         if got is not None:
             return True, (stem, got)
     return False, None
+
+
+def poly_eval_oracle(M: Matroid, x) -> float:
+    """p(x), one basis and one factor at a time."""
+    x = np.asarray(x, dtype=float)
+    terms = []
+    for b in M.bases:
+        prod = 1.0
+        for i in bit_indices(b):
+            prod *= x[i]
+        terms.append(prod)
+    return fsum(terms)
+
+
+def poly_gradient_oracle(M: Matroid, x) -> np.ndarray:
+    """dp/dx_i, one basis through i and one complementary factor at a time."""
+    x = np.asarray(x, dtype=float)
+    per_coord = [[] for _ in range(M.n)]
+    for b in M.bases:
+        elems = list(bit_indices(b))
+        for i in elems:
+            prod = 1.0
+            for j in elems:
+                if j != i:
+                    prod *= x[j]
+            per_coord[i].append(prod)
+    return np.array([fsum(terms) for terms in per_coord])
+
+
+class OraclePolynomial:
+    """Stands in for ``lagrangian._BasisPolynomial`` with the loop bodies
+    above, so that ``maximize`` can be driven by them."""
+
+    def __init__(self, M: Matroid):
+        self.M = M
+        self.r = M.r
+
+    def value(self, x) -> float:
+        return poly_eval_oracle(self.M, x)
+
+    def gradient(self, x) -> np.ndarray:
+        return poly_gradient_oracle(self.M, x)
+
+
+def lines_of_oracle(M: Matroid):
+    """All lines: the closure of every pair of rank 2."""
+    seen = set()
+    for e, f in combinations(range(M.n), 2):
+        pair = (1 << e) | (1 << f)
+        if rank_of(M, pair) == 2:
+            seen.add(closure(M, pair))
+    return sorted(seen)

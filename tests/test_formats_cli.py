@@ -180,6 +180,36 @@ def test_cli_lagrangian_broken_bound_exits_2(monkeypatch, capsys):
     assert "THEOREM CHECK FAILED" in capsys.readouterr().err
 
 
+def lagrangian_error(capsys, *flags):
+    """stderr of ``lagrangian`` on the Fano plane with budget ``flags`` it
+    must reject with exit 1."""
+    _, fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])
+    code, out = run_cli(["lagrangian", *flags], stdin_text=fano)
+    assert code == 1 and out == ""
+    return capsys.readouterr().err
+
+
+def test_cli_lagrangian_negative_or_nan_tol_exits_1(capsys):
+    # --tol -1 used to run 17 restarts of 100,000 iterations each
+    assert lagrangian_error(capsys, "--tol", "-1") == "error: tolerance -1.0 is negative or NaN\n"
+    assert lagrangian_error(capsys, "--tol", "nan") == "error: tolerance nan is negative or NaN\n"
+
+
+def test_cli_lagrangian_negative_max_iter_exits_1(capsys):
+    assert lagrangian_error(capsys, "--max-iter", "-5") == "error: iteration budget -5 is negative\n"
+
+
+def test_cli_lagrangian_negative_restarts_exits_1(capsys):
+    assert lagrangian_error(capsys, "--restarts", "-3") == "error: restart count -3 is negative\n"
+
+
+def test_cli_lagrangian_zero_budgets_are_valid():
+    _, fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])
+    for flags in (["--max-iter", "0"], ["--tol", "0"], ["--restarts", "0"]):
+        code, out = run_cli(["lagrangian", *flags], stdin_text=fano)
+        assert code == 0 and out.startswith("value "), flags
+
+
 def test_cli_search_json_schema():
     code, out = run_cli(["search", "--n", "4", "--r", "2", "--forbid", "2,3", "--json"])
     assert code == 0

@@ -19,7 +19,8 @@ from turan_matroids.hypergraphs import basis_hypergraph, complete_uniform
 from turan_matroids.matroid import MatroidError, validate_exchange
 from turan_matroids.minors import has_uniform_minor
 
-from oracles import multiline_with_blowup
+from conftest import oracle_matroids
+from oracles import lines_of_oracle, multiline_with_blowup
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
@@ -192,3 +193,10 @@ def test_lines_of_fano():
     lines = lines_of(pg)
     assert len(lines) == 7
     assert all(ln.bit_count() == 3 for ln in lines)
+
+
+def test_lines_of_matches_oracle():
+    matroids = oracle_matroids() + [rank3_multiline([5, 5, 4]), two_disjoint_lines(7, 7)]
+    for M in matroids:
+        if M.r >= 2:
+            assert lines_of(M) == lines_of_oracle(M)

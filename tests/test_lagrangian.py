@@ -7,8 +7,15 @@ import pytest
 
 from turan_matroids import lagrangian
 from turan_matroids.acceptance import random_linear_matroid
-from turan_matroids.geometry import bose_burton, projective_geometry, uniform
+from turan_matroids.geometry import (
+    bose_burton,
+    projective_geometry,
+    two_disjoint_lines,
+    uniform,
+)
 from turan_matroids.lagrangian import (
+    _BasisPolynomial,
+    _fixed_point_run,
     maximize,
     poly_eval,
     poly_gradient,
@@ -22,7 +29,61 @@ from turan_matroids.matroid import (
 )
 from turan_matroids.rank3 import TheoremViolation
 
-from oracles import grid_search_2simplex
+from conftest import oracle_matroids
+from oracles import (
+    OraclePolynomial,
+    grid_search_2simplex,
+    poly_eval_oracle,
+    poly_gradient_oracle,
+)
+
+
+def fano_blowup():
+    return parallel_blowup(projective_geometry(3, 2), [2] * 7)
+
+
+def assert_poly_matches_oracle(M, x):
+    assert poly_eval(M, x) == poly_eval_oracle(M, x)
+    assert np.array_equal(poly_gradient(M, x), poly_gradient_oracle(M, x))
+
+
+def test_poly_matches_oracle_exactly():
+    npr = np.random.default_rng(14)
+    for M in oracle_matroids() + [fano_blowup()]:
+        x = npr.exponential(size=M.n)
+        x /= x.sum()
+        assert_poly_matches_oracle(M, x)
+        x[npr.random(M.n) < 0.4] = 0.0  # zero coordinates
+        assert_poly_matches_oracle(M, x)
+
+
+def test_poly_small_ranks_and_64_elements():
+    rank0 = Matroid.from_bases(3, [0])
+    assert poly_eval(rank0, [0.2, 0.3, 0.5]) == 1.0
+    assert np.array_equal(poly_gradient(rank0, [0.2, 0.3, 0.5]), np.zeros(3))
+    x = np.random.default_rng(15).exponential(size=64)
+    for M in (rank0, uniform(1, 4), uniform(2, 64)):
+        assert_poly_matches_oracle(M, x[: M.n])
+    assert_poly_matches_oracle(uniform(2, 64), np.where(np.arange(64) % 3, x, 0.0))
+
+
+def test_poly_rejects_wrong_length():
+    with pytest.raises(MatroidError):
+        poly_eval(uniform(2, 3), [0.5, 0.5])
+    with pytest.raises(MatroidError):
+        poly_gradient(uniform(2, 3), [0.25] * 4)
+
+
+def test_maximize_matches_oracle_driven_run(rng, monkeypatch):
+    matroids = [projective_geometry(3, 3), fano_blowup(), two_disjoint_lines(7, 7)]
+    matroids += [random_linear_matroid(rng, max_n=8) for _ in range(20)]
+    fast = [maximize(M) for M in matroids]
+    monkeypatch.setattr(lagrangian, "_BasisPolynomial", OraclePolynomial)
+    for M, got in zip(matroids, fast):
+        want = maximize(M)
+        assert got.value == want.value
+        assert np.array_equal(got.argmax, want.argmax)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
 
 def test_poly_eval_symmetric_triangle():
@@ -144,19 +205,21 @@ def test_rank_zero_rejected():
         maximize(Matroid.from_bases(3, [0]))
 
 
-def test_iteration_monotone_diagnostic():
-    # one multiplicative step never decreases the objective (up to roundoff)
-    for M in (projective_geometry(3, 2), uniform(2, 5), uniform(3, 6)):
+def test_iteration_monotone_diagnostic(rng):
+    # x <- x grad p / (r p) is the Baum-Eagon growth transform, so p never
+    # decreases along the library's own run, up to roundoff
+    matroids = [projective_geometry(3, 2), uniform(2, 5), uniform(3, 6)]
+    matroids += [projective_geometry(3, 3), fano_blowup()]
+    matroids += [random_linear_matroid(rng, max_n=8) for _ in range(3)]
+    for M in matroids:
+        poly = _BasisPolynomial(M)
         npr = np.random.default_rng(13)
-        for _ in range(20):
-            x = npr.exponential(size=M.n)
-            x /= x.sum()
-            before = poly_eval(M, x)
-            for _ in range(10):
-                x = x * poly_gradient(M, x) / (M.r * poly_eval(M, x))
-                x /= x.sum()
-                after = poly_eval(M, x)
-                assert after >= before - 1e-12
+        for _ in range(4):
+            x0 = npr.exponential(size=M.n)
+            before = _fixed_point_run(poly, x0, 0.0, 0)[0]
+            for k in range(1, 31):
+                after = _fixed_point_run(poly, x0, 0.0, k)[0]
+                assert after >= before * (1 - 1e-15), (M, k)
                 before = after
 
 

@@ -29,7 +29,8 @@ def test_readme_cli_examples():
     assert [expected for _, expected in examples] == [
         "28", "absent", "two-lines", "4", "224", "7",
         "max_bases 16", "16", "max_bases 312", "312",
-        "value 0.106508875740", "value 0.062500000000", "value 0.081632653061",
+        "value 0.106508875740", "value 0.120937263794", "value 0.062500000000",
+        "value 0.081632653061",
     ]
     for command, expected in examples:
         first_line = run_pipeline(command).splitlines()[0]
