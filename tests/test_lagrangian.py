@@ -214,7 +214,7 @@ def test_iteration_monotone_diagnostic(rng):
     for M in matroids:
         poly = _BasisPolynomial(M)
         npr = np.random.default_rng(13)
-        for _ in range(4):
+        for _ in range(20):
             x0 = npr.exponential(size=M.n)
             before = _fixed_point_run(poly, x0, 0.0, 0)[0]
             for k in range(1, 31):
