@@ -153,6 +153,8 @@ def cmd_restriction(args) -> int:
 
 
 def cmd_lagrangian(args) -> int:
+    if args.precision < 0:
+        raise MatroidError(f"precision {args.precision} is negative")
     M = _read_matroid(args)
     res = maximize(
         M,

@@ -9,9 +9,13 @@ forbidden daisy (daisy presence is monotone under edge insertion) or
 (r - s)-stem in the chosen family, which the walk updates as it adds and
 removes each edge, so no test rescans the family.  The exchange property
 is *not* prefix-monotone, so it is tested only on completed families.
-The tree is split at a fixed depth into subtrees that run in fixed order
-under one node budget, each getting whatever its predecessors left
-unspent, so results and counters are deterministic.
+Consecutive leaves differ only in their last-decided edges, so a leaf
+first re-checks the last exchange witness found in its subtree
+(``matroid.exchange_witness_refutes``) and gets the full check only when
+that witness no longer refutes it.  The tree is split at a fixed depth
+into subtrees that run in fixed order under one node budget, each getting
+whatever its predecessors left unspent, so results and counters are
+deterministic.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from .matroid import (
     Matroid,
     MatroidError,
     direct_sum,
+    exchange_violation,
+    exchange_witness_refutes,
     parallel_blowup,
     truncate,
     validate_exchange,
@@ -166,7 +172,16 @@ def _subtree_search(edges, n, r, s, t, prefix_bits, depth, threshold, budget, ca
     The chosen edges are mirrored in a ``StemLinks`` state: every edge is
     pushed onto it when chosen, in the prefix and in the DFS, and popped
     when the DFS backtracks, so the daisy test of each new edge reads the
-    current links of the stems inside it."""
+    current links of the stems inside it.
+
+    A leaf that could match the incumbent is rejected at once when the
+    last ("exchange", B1, B2, x) witness returned by ``exchange_violation``
+    in this subtree still refutes it: B1 and B2 are chosen and no y in
+    B2 - B1 has B1 - x + y chosen.  Otherwise it gets the full check, and
+    a violation found there becomes the new witness.  A leaf is accepted
+    only by the full check and rejected only by a re-verified violation,
+    so the search visits, counts and keeps exactly what a full check at
+    every leaf would."""
     m = len(edges)
     nodes = 0
     pruned_daisy = 0
@@ -183,15 +198,21 @@ def _subtree_search(edges, n, r, s, t, prefix_bits, depth, threshold, budget, ca
                 return (threshold, [], 1, 1, 0, False)
     best = threshold
     witnesses = []
+    refuter = None  # the last exchange witness found in this subtree
 
     def leaf():
-        nonlocal best, witnesses
+        nonlocal best, witnesses, refuter
         if not chosen:
             return
         count = len(chosen)
         if count < best:
             return
-        if not validate_exchange(n, chosen):
+        family = set(chosen)
+        if refuter is not None and exchange_witness_refutes(family, refuter):
+            return
+        violation = exchange_violation(n, family)
+        if violation is not None:
+            refuter = violation
             return
         if count > best:
             best = count

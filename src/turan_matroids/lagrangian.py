@@ -161,6 +161,7 @@ def maximize(
         raise MatroidError(f"restart count {restarts} is negative")
     if M.r == 0:
         raise MatroidError("rank-0 matroid: every element is a loop")
+    exact_bound = None if bound_t is None else u2_lagrangian_bound(M.r, bound_t)
     simple, smap = simplify(M)
     rng = np.random.default_rng(seed)
     starts = [np.full(simple.n, 1.0 / simple.n)]
@@ -179,12 +180,10 @@ def maximize(
         argmax[rep] = x_simple[i]
     value = poly_eval(M, argmax)
 
-    exact_bound = None
     bound = None
     certified = False
     bound_applies = True
-    if bound_t is not None:
-        exact_bound = u2_lagrangian_bound(M.r, bound_t)
+    if exact_bound is not None:
         bound = float(exact_bound)
         certified = abs(value - bound) < 1e-9
         if value > bound + 1e-9:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from turan_matroids import extremal
 from turan_matroids.bounds import ex_u35
 from turan_matroids.canonical import dedupe_isomorphic
 from turan_matroids.extremal import (
@@ -23,7 +24,7 @@ from turan_matroids.geometry import (
     two_disjoint_lines,
     uniform,
 )
-from turan_matroids.matroid import MatroidError, validate_exchange
+from turan_matroids.matroid import MatroidError, exchange_violation, validate_exchange
 from turan_matroids.minors import has_uniform_minor, has_uniform_restriction
 from turan_matroids.rank3 import (
     NoU25Minor,
@@ -109,6 +110,33 @@ def test_search_counters_pinned():
         assert rep.exhaustive
         assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == expected
 
+
+
+# (max_bases, nodes_explored, pruned_daisy, pruned_bound, full exchange
+# checks) of the benchmark's three generic searches.  Of the 15,435,
+# 240,028 and 35 leaves that reach the exchange test, all but the counted
+# ones are rejected by the last exchange witness found in their subtree.
+LEAF_CHECKS = {
+    (6, 3, 3, 4): (12, 229_385, 50_545, 54_229, 867),
+    (6, 3, 2, 5): (18, 574_923, 1_345, 22_430, 728),
+    (7, 2, 2, 3): (12, 45_833, 16_853, 14_263, 35),
+}
+
+
+def test_search_full_exchange_checks_pinned(monkeypatch):
+    calls = []
+
+    def counted(n, family):
+        calls.append(n)
+        return exchange_violation(n, family)
+
+    monkeypatch.setattr(extremal, "exchange_violation", counted)
+    for (n, r, s, t), expected in LEAF_CHECKS.items():
+        calls.clear()
+        rep = search_ex(n, r, s, t)
+        assert rep.exhaustive
+        counters = (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound)
+        assert counters + (len(calls),) == expected
 
 def test_best_known_construction_examples():
     M = best_known_construction(6, 3, 3, 4)

@@ -22,6 +22,7 @@ from turan_matroids.matroid import (
     direct_sum,
     dual,
     exchange_violation,
+    exchange_witness_refutes,
     is_coloop,
     is_simple,
     loops_mask,
@@ -81,6 +82,53 @@ def test_exchange_violation_matches_pair_scan(rng):
     witnesses = [exchange_violation(n, fam) for n, fam in families]
     assert None in witnesses and any(w and w[0] == "exchange" for w in witnesses)
 
+
+
+def test_exchange_witness_refutes_only_non_bases(rng):
+    # every witness found is applied to every family of the same (n, r):
+    # "refutes" must never fall on a basis family, and must fall on the
+    # family that produced the witness
+    groups = {}
+    for n, r in ((4, 2), (5, 2), (5, 3)):
+        subsets = [mask_of(c) for c in combinations(range(n), r)]
+        groups[n, r] = [
+            [s for i, s in enumerate(subsets) if pick >> i & 1] for pick in range(1, 1 << len(subsets))
+        ]
+    for _ in range(200):
+        M = random_linear_matroid(rng, max_n=8)
+        groups.setdefault((M.n, M.r), []).extend([list(M.bases), *_perturbations(rng, M)])
+    refuted = 0
+    for (n, _), fams in groups.items():
+        valid = [validate_exchange(n, fam) for fam in fams]
+        sets = [set(fam) for fam in fams]
+        witnesses = {}
+        for fam, members in zip(fams, sets):
+            w = exchange_violation(n, fam)
+            if w is not None:
+                assert exchange_witness_refutes(members, w)
+                witnesses[w] = True
+        for w in witnesses:
+            for ok, members in zip(valid, sets):
+                if exchange_witness_refutes(members, w):
+                    assert not ok, (n, w, sorted(members))
+                    refuted += 1
+    assert refuted > 5_000  # 7,907 (family, witness) pairs with this seed
+
+
+def test_exchange_witness_refutes_checks_its_witness():
+    triangle = {0b011, 0b101, 0b110}
+    with pytest.raises(MatroidError):
+        exchange_witness_refutes(triangle, ("size", 0b011, 0b111))
+    with pytest.raises(MatroidError):
+        exchange_witness_refutes(triangle, ("exchange", 0b0011, 0b1100, 2))  # x not in B1
+    with pytest.raises(MatroidError):
+        exchange_witness_refutes(triangle, ("exchange", 0b011, 0b101, 0))  # x in B2
+    w = exchange_violation(4, [0b0011, 0b1100])
+    assert w == ("exchange", 0b0011, 0b1100, 0)
+    assert exchange_witness_refutes({0b0011, 0b1100}, w)
+    assert not exchange_witness_refutes({0b0011}, w)  # B2 absent
+    assert not exchange_witness_refutes({0b1100}, w)  # B1 absent
+    assert not exchange_witness_refutes({0b0011, 0b1100, 0b0110}, w)  # y = 2 repairs
 
 def test_from_bases_validates():
     with pytest.raises(MatroidError):
