@@ -111,7 +111,6 @@ def test_search_counters_pinned():
         assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == expected
 
 
-
 # (max_bases, nodes_explored, pruned_daisy, pruned_bound, full exchange
 # checks) of the benchmark's three generic searches.  Of the 15,435,
 # 240,028 and 35 leaves that reach the exchange test, all but the counted
@@ -137,6 +136,7 @@ def test_search_full_exchange_checks_pinned(monkeypatch):
         assert rep.exhaustive
         counters = (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound)
         assert counters + (len(calls),) == expected
+
 
 def test_best_known_construction_examples():
     M = best_known_construction(6, 3, 3, 4)

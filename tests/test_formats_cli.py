@@ -203,7 +203,6 @@ def test_cli_lagrangian_negative_restarts_exits_1(capsys):
     assert lagrangian_error(capsys, "--restarts", "-3") == "error: restart count -3 is negative\n"
 
 
-
 def test_cli_lagrangian_bad_bound_t_or_precision_exits_1_before_optimizing(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("restart run for an invalid flag")
@@ -211,6 +210,7 @@ def test_cli_lagrangian_bad_bound_t_or_precision_exits_1_before_optimizing(capsy
     monkeypatch.setattr(lagrangian, "_fixed_point_run", fail)
     assert lagrangian_error(capsys, "--bound-t", "1") == "error: need r >= 1 and t >= 2\n"
     assert lagrangian_error(capsys, "--precision", "-1") == "error: precision -1 is negative\n"
+
 
 def test_cli_lagrangian_zero_budgets_are_valid():
     _, fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])

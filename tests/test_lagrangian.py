@@ -166,7 +166,6 @@ def test_maximize_broken_bound_raises(monkeypatch):
         maximize(projective_geometry(3, 2), bound_t=2)
 
 
-
 def test_maximize_rejects_bad_bound_t_before_any_run(monkeypatch):
     def fail(*args):
         raise AssertionError("restart run for an invalid bound_t")
@@ -175,6 +174,7 @@ def test_maximize_rejects_bad_bound_t_before_any_run(monkeypatch):
     for t in (1, 0, -3):
         with pytest.raises(MatroidError, match="need r >= 1 and t >= 2"):
             maximize(projective_geometry(3, 4), bound_t=t)
+
 
 def test_maximize_within_bound_skips_minor_check(monkeypatch):
     def fail(*args):

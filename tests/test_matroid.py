@@ -83,7 +83,6 @@ def test_exchange_violation_matches_pair_scan(rng):
     assert None in witnesses and any(w and w[0] == "exchange" for w in witnesses)
 
 
-
 def test_exchange_witness_refutes_only_non_bases(rng):
     # every witness found is applied to every family of the same (n, r):
     # "refutes" must never fall on a basis family, and must fall on the
@@ -101,12 +100,12 @@ def test_exchange_witness_refutes_only_non_bases(rng):
     for (n, _), fams in groups.items():
         valid = [validate_exchange(n, fam) for fam in fams]
         sets = [set(fam) for fam in fams]
-        witnesses = {}
+        witnesses = set()
         for fam, members in zip(fams, sets):
             w = exchange_violation(n, fam)
             if w is not None:
                 assert exchange_witness_refutes(members, w)
-                witnesses[w] = True
+                witnesses.add(w)
         for w in witnesses:
             for ok, members in zip(valid, sets):
                 if exchange_witness_refutes(members, w):
@@ -129,6 +128,7 @@ def test_exchange_witness_refutes_checks_its_witness():
     assert not exchange_witness_refutes({0b0011}, w)  # B2 absent
     assert not exchange_witness_refutes({0b1100}, w)  # B1 absent
     assert not exchange_witness_refutes({0b0011, 0b1100, 0b0110}, w)  # y = 2 repairs
+
 
 def test_from_bases_validates():
     with pytest.raises(MatroidError):
