@@ -10,6 +10,7 @@ from .matroid import (
     Matroid,
     MatroidError,
     SimplificationMap,
+    TheoremViolation,
     basis_density,
     circuits,
     circumference,
@@ -68,7 +69,6 @@ from .extremal import (
 from .rank3 import (
     NoU25Minor,
     Rank3Decomposition,
-    TheoremViolation,
     TwoLines,
     classify_u35_free,
     decompose_rank3,

@@ -45,65 +45,64 @@ def canonical_bases(n: int, bases) -> tuple:
     return best[0]
 
 
+def _independent_sets(family) -> set:
+    """Every subset of every member of ``family``, as masks."""
+    out = {0}
+    for b in family:
+        sub = b
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & b  # the next smaller subset of b
+    return out
+
+
 def are_isomorphic(n: int, bases_a, bases_b) -> bool:
     """Is there a relabeling of {0..n-1} mapping one basis family onto the other?
 
-    Backtracking on the element map with degree pruning; complete bases
-    inside the mapped prefix must land on bases.  Much cheaper than two
-    canonical forms when the families are in fact isomorphic.
+    Both families must be uniform, as every basis family is; then their
+    members are their maximal independent sets (subsets of members), so a
+    bijection maps A onto B exactly when it preserves independence.  The
+    map is extended one element k at a time, carrying each independent S
+    of A inside the mapped prefix with its image.  An image c of k is
+    accepted only if, for every carried S, S + k is independent in A
+    exactly when image(S) + c is in B.  A dependent S has only dependent
+    supersets on both sides, so by induction over the prefix every subset
+    of it is checked, and a complete map is an isomorphism.
     """
-    fam_a = sorted(set(bases_a))
-    fam_b = sorted(set(bases_b))
+    fam_a, fam_b = sorted(set(bases_a)), sorted(set(bases_b))
     if len(fam_a) != len(fam_b):
         return False
     if fam_a == fam_b:
         return True
-    set_b = set(fam_b)
-
-    def degrees(family):
-        out = [0] * n
-        for b in family:
-            for e in range(n):
-                if b >> e & 1:
-                    out[e] += 1
-        return out
-
-    deg_a, deg_b = degrees(fam_a), degrees(fam_b)
+    deg_a, deg_b = ([sum(b >> e & 1 for b in fam) for e in range(n)] for fam in (fam_a, fam_b))
     if sorted(deg_a) != sorted(deg_b):
         return False
-
-    image = [-1] * n
+    ind_a, ind_b = _independent_sets(fam_a), _independent_sets(fam_b)
     used = [False] * n
 
-    def check_prefix(k):
-        # bases of A fully inside the assigned prefix must map into B
-        assigned = sum(1 << i for i in range(k + 1))
-        for b in fam_a:
-            if b & ~assigned:
-                continue
-            mapped = 0
-            for e in range(k + 1):
-                if b >> e & 1:
-                    mapped |= 1 << image[e]
-            if mapped not in set_b:
-                return False
-        return True
-
-    def assign(k):
+    def assign(k, pairs):
         if k == n:
             return True
+        bit = 1 << k
         for cand in range(n):
             if used[cand] or deg_b[cand] != deg_a[k]:
                 continue
-            image[k] = cand
-            used[cand] = True
-            if check_prefix(k) and assign(k + 1):
-                return True
-            used[cand] = False
-        image[k] = -1
+            cbit = 1 << cand
+            grown = []
+            for s, t in pairs:
+                independent = s | bit in ind_a
+                if independent != (t | cbit in ind_b):
+                    break
+                if independent:
+                    grown.append((s | bit, t | cbit))
+            else:
+                used[cand] = True
+                if assign(k + 1, pairs + grown):
+                    return True
+                used[cand] = False
         return False
 
-    return assign(0)
+    return assign(0, [(0, 0)])
 
 
 CANONICAL_SIZE_LIMIT = 10

@@ -46,10 +46,9 @@ from .geometry import (
     uniform,
 )
 from .lagrangian import maximize
-from .matroid import Matroid, MatroidError, parallel_blowup
+from .matroid import Matroid, MatroidError, TheoremViolation, parallel_blowup
 from .minors import has_uniform_minor, has_uniform_restriction
 from .rank3 import (
-    TheoremViolation,
     TwoLines,
     classify_u35_free,
     decompose_rank3,
@@ -85,6 +84,15 @@ def _print_result(args, payload: dict, text_lines):
     else:
         for line in text_lines:
             print(line)
+
+
+def _forbid_pair(text: str) -> tuple[int, int]:
+    """The (s, t) of a ``--forbid s,t`` flag."""
+    try:
+        s, t = (int(x) for x in text.split(","))
+    except ValueError:
+        raise MatroidError(f"--forbid expects two integers s,t, got {text!r}") from None
+    return s, t
 
 
 def _frac_str(x: Fraction) -> str:
@@ -246,7 +254,7 @@ def cmd_tables(args) -> int:
                 d = bounds_mod.u2_density(r, q)
                 writer.writerow([r, q, _frac_str(d), f"{float(d):.12f}"])
     else:  # kind == "ex"
-        s, t = (int(x) for x in args.forbid.split(","))
+        s, t = _forbid_pair(args.forbid)
         lo, hi = (int(x) for x in args.n_range.split(":"))
         writer.writerow(["n", "r", "s", "t", "max_bases", "binomial", "density", "exhaustive"])
         opts = SearchOptions(max_nodes=args.max_nodes)
@@ -294,7 +302,7 @@ def _emit_witnesses(report: SearchReport, directory: str):
 
 
 def cmd_search(args) -> int:
-    s, t = (int(x) for x in args.forbid.split(","))
+    s, t = _forbid_pair(args.forbid)
     opts = SearchOptions(
         max_nodes=args.max_nodes,
         witness_cap=args.witness_cap,

@@ -64,8 +64,12 @@ class SearchOptions:
     rank3_point_cap: int = 7
 
     def __post_init__(self):
+        if self.max_nodes < 0:
+            raise MatroidError(f"node budget {self.max_nodes} is negative")
         if self.witness_cap < 0:
             raise MatroidError(f"witness cap {self.witness_cap} is negative")
+        if self.rank3_point_cap < 3:
+            raise MatroidError(f"rank-3 point cap {self.rank3_point_cap} is below 3")
 
 
 @dataclass(frozen=True)
@@ -405,6 +409,8 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     free_monotone = s == 3
 
     for p in range(3, p_cap + 1):
+        if exhausted:
+            break
         candidates = []
         for k in range(3, p + 1):
             for combo in combinations(range(p), k):
@@ -415,10 +421,10 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
             """(alive, free): alive=False prunes extensions (rank collapse
             is permanent under adding lines)."""
             nonlocal nodes, best, champions, pruned_forbidden, exhausted
-            nodes += 1
-            if nodes > budget:
+            if nodes >= budget:
                 exhausted = True
                 return False, False
+            nodes += 1
             try:
                 simple = rank3_from_lines(p, family)
             except MatroidError:
@@ -445,6 +451,8 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
             if not alive or exhausted:
                 return
             for i in range(start, len(candidates)):
+                if exhausted:
+                    return
                 ln = candidates[i]
                 if all((ln & other).bit_count() <= 1 for other in family):
                     family.append(ln)

@@ -26,9 +26,8 @@ import numpy as np
 
 from .bitsets import bit_indices
 from .bounds import u2_lagrangian_bound
-from .matroid import Matroid, MatroidError, simplify
+from .matroid import Matroid, MatroidError, TheoremViolation, simplify
 from .minors import has_uniform_minor
-from .rank3 import TheoremViolation
 
 DEFAULT_SEED = 0x5EED
 FREEZE_EPS = 1e-15

@@ -25,6 +25,10 @@ class MatroidError(ValueError):
     """Structurally invalid matroid data or an inapplicable operation."""
 
 
+class TheoremViolation(AssertionError):
+    """A verified-certificate check failed; this would falsify a theorem."""
+
+
 def validate_exchange(n: int, family) -> bool:
     """Basis-exchange predicate: equal sizes and (B1) for all ordered pairs."""
     return exchange_violation(n, family) is None

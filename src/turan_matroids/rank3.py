@@ -16,12 +16,8 @@ from math import comb
 
 from .bitsets import bit_indices
 from .geometry import lines_of
-from .matroid import Matroid, MatroidError, is_simple, restrict
+from .matroid import Matroid, MatroidError, TheoremViolation, is_simple, restrict
 from .minors import has_uniform_minor, has_uniform_restriction
-
-
-class TheoremViolation(AssertionError):
-    """A verified-certificate check failed; this would falsify a theorem."""
 
 
 @dataclass(frozen=True)

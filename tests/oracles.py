@@ -347,3 +347,64 @@ def lines_of_oracle(M: Matroid):
         if rank_of(M, pair) == 2:
             seen.add(closure(M, pair))
     return sorted(seen)
+
+
+def are_isomorphic_oracle(n: int, bases_a, bases_b) -> bool:
+    """Is there a relabeling of {0..n-1} mapping one basis family onto the other?
+
+    Backtracking on the element map with degree pruning; complete bases
+    inside the mapped prefix must land on bases.  Much cheaper than two
+    canonical forms when the families are in fact isomorphic.
+    """
+    fam_a = sorted(set(bases_a))
+    fam_b = sorted(set(bases_b))
+    if len(fam_a) != len(fam_b):
+        return False
+    if fam_a == fam_b:
+        return True
+    set_b = set(fam_b)
+
+    def degrees(family):
+        out = [0] * n
+        for b in family:
+            for e in range(n):
+                if b >> e & 1:
+                    out[e] += 1
+        return out
+
+    deg_a, deg_b = degrees(fam_a), degrees(fam_b)
+    if sorted(deg_a) != sorted(deg_b):
+        return False
+
+    image = [-1] * n
+    used = [False] * n
+
+    def check_prefix(k):
+        # bases of A fully inside the assigned prefix must map into B
+        assigned = sum(1 << i for i in range(k + 1))
+        for b in fam_a:
+            if b & ~assigned:
+                continue
+            mapped = 0
+            for e in range(k + 1):
+                if b >> e & 1:
+                    mapped |= 1 << image[e]
+            if mapped not in set_b:
+                return False
+        return True
+
+    def assign(k):
+        if k == n:
+            return True
+        for cand in range(n):
+            if used[cand] or deg_b[cand] != deg_a[k]:
+                continue
+            image[k] = cand
+            used[cand] = True
+            if check_prefix(k) and assign(k + 1):
+                return True
+            used[cand] = False
+        image[k] = -1
+        return False
+
+    return assign(0)

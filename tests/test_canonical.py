@@ -1,15 +1,28 @@
 """Canonical labeling and isomorphism testing against brute force."""
 
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 from hypothesis import given
 
 from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bitsets import mask_of
 from turan_matroids.canonical import are_isomorphic, canonical_bases, dedupe_isomorphic
-from turan_matroids.geometry import projective_geometry, two_disjoint_lines, uniform
+from turan_matroids.geometry import (
+    projective_geometry,
+    rank3_from_lines,
+    two_disjoint_lines,
+    uniform,
+)
 
-from conftest import linear_matroids
+from conftest import linear_matroids, oracle_matroids
+from oracles import are_isomorphic_oracle
+
+
+def relabeled(n, bases, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [mask_of(perm[e] for e in range(n) if b >> e & 1) for b in bases]
 
 
 def brute_force_canonical(n, bases):
@@ -36,10 +49,7 @@ def test_canonical_matches_brute_force_structured():
 def test_canonical_invariant_under_relabeling(rng):
     for _ in range(30):
         M = random_linear_matroid(rng, min_n=3, max_n=7)
-        perm = list(range(M.n))
-        rng.shuffle(perm)
-        relabeled = [mask_of(perm[e] for e in range(M.n) if b >> e & 1) for b in M.bases]
-        assert canonical_bases(M.n, M.bases) == canonical_bases(M.n, relabeled)
+        assert canonical_bases(M.n, M.bases) == canonical_bases(M.n, relabeled(M.n, M.bases, rng))
 
 
 def test_canonical_fano_is_relabeling_of_input():
@@ -52,23 +62,70 @@ def test_canonical_fano_is_relabeling_of_input():
 def test_are_isomorphic_detects_relabelings(rng):
     for _ in range(30):
         M = random_linear_matroid(rng, min_n=3, max_n=7)
-        perm = list(range(M.n))
-        rng.shuffle(perm)
-        relabeled = [mask_of(perm[e] for e in range(M.n) if b >> e & 1) for b in M.bases]
-        assert are_isomorphic(M.n, M.bases, relabeled)
+        assert are_isomorphic(M.n, M.bases, relabeled(M.n, M.bases, rng))
 
 
 def test_are_isomorphic_rejects_different_matroids():
     assert not are_isomorphic(4, uniform(2, 4).bases, two_disjoint_lines(2, 2).bases)
     # same ground set and same basis count: two disjoint 3-lines vs two
     # 3-lines meeting in a point plus a free point (both have 18 bases)
-    from turan_matroids.geometry import rank3_from_lines
-
     disjoint = two_disjoint_lines(3, 3)
     crossing = rank3_from_lines(6, [0b000111, 0b011100])
     assert disjoint.basis_count == crossing.basis_count == 18
     assert not are_isomorphic(6, disjoint.bases, crossing.bases)
     assert canonical_bases(6, disjoint.bases) != canonical_bases(6, crossing.bases)
+
+
+def _degrees(n, family):
+    return sorted(sum(b >> e & 1 for b in family) for e in range(n))
+
+
+def _switched(family, rng, times):
+    """``family`` after up to ``times`` random swaps B1 - x + y, B2 - y + x,
+    which keep every member's size and every element's degree."""
+    family = set(family)
+    for _ in range(times):
+        b1, b2 = rng.sample(sorted(family), 2)
+        x = 1 << rng.choice([e for e in range(b1.bit_length()) if (b1 & ~b2) >> e & 1])
+        y = 1 << rng.choice([e for e in range(b2.bit_length()) if (b2 & ~b1) >> e & 1])
+        if b1 ^ x ^ y not in family and b2 ^ x ^ y not in family:
+            family -= {b1, b2}
+            family |= {b1 ^ x ^ y, b2 ^ x ^ y}
+    return sorted(family)
+
+
+def test_are_isomorphic_matches_oracle():
+    rng = random.Random(31415)
+    matroids = [M for M in oracle_matroids() if M.n < 15]  # the oracle needs ~11 s on PG(4,2)
+    for M in matroids:
+        other = relabeled(M.n, M.bases, rng)
+        assert are_isomorphic(M.n, M.bases, other) and are_isomorphic_oracle(M.n, M.bases, other)
+    for A, B in combinations(matroids, 2):
+        if A.n == B.n and _degrees(A.n, A.bases) == _degrees(B.n, B.bases):
+            assert are_isomorphic(A.n, A.bases, B.bases) == are_isomorphic_oracle(
+                A.n, A.bases, B.bases
+            )
+    pg = projective_geometry(4, 2)
+    assert are_isomorphic(pg.n, pg.bases, relabeled(pg.n, pg.bases, rng))
+
+    # uniform families with equal degree sequences, matroids or not
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(4, 7)
+        r = rng.randint(2, min(3, n - 2))
+        all_r = [mask_of(c) for c in combinations(range(n), r)]
+        fam = rng.sample(all_r, rng.randint(2, len(all_r) - 1))
+        other = relabeled(n, _switched(fam, rng, rng.randint(0, 3)), rng)
+        assert _degrees(n, fam) == _degrees(n, other)
+        answer = are_isomorphic(n, fam, other)
+        assert answer == are_isomorphic_oracle(n, fam, other)
+        answers.add(answer)
+    assert answers == {False, True}
+
+    disjoint = two_disjoint_lines(3, 3)
+    crossing = rank3_from_lines(6, [0b000111, 0b011100])
+    assert not are_isomorphic(6, disjoint.bases, crossing.bases)
+    assert not are_isomorphic_oracle(6, disjoint.bases, crossing.bases)
 
 
 def test_dedupe_isomorphic_collapses_copies(rng):

@@ -93,6 +93,24 @@ def test_search_budget_is_global():
     assert not report.exhaustive
 
 
+def test_rank3_search_budget_is_exact():
+    # the full rank-3 search for (7, 3, 5) visits 8,783 nodes
+    report = search_ex_rank3(7, 3, 5, SearchOptions(max_nodes=8_783))
+    assert report.exhaustive and report.nodes_explored == 8_783
+    report = search_ex_rank3(7, 3, 5, SearchOptions(max_nodes=8_782))
+    assert not report.exhaustive and report.nodes_explored == 8_782
+    for budget in (0, 1, 10, 100):
+        report = search_ex_rank3(7, 3, 5, SearchOptions(max_nodes=budget))
+        assert not report.exhaustive and report.nodes_explored <= budget
+
+
+def test_search_options_reject_bad_budgets():
+    for bad in ({"max_nodes": -5}, {"rank3_point_cap": 2}, {"rank3_point_cap": -1}):
+        with pytest.raises(MatroidError):
+            SearchOptions(**bad)
+    assert SearchOptions(max_nodes=0, rank3_point_cap=3).max_nodes == 0
+
+
 # (max_bases, nodes_explored, pruned_daisy, pruned_bound) of exhaustive
 # searches whose daisy stems have 1, 0, 2, 0 and 0 elements
 SEARCH_COUNTERS = {

@@ -357,6 +357,38 @@ def test_cli_negative_witness_cap_exits_1(argv, capsys):
     assert capsys.readouterr().err == "error: witness cap -1 is negative\n"
 
 
+@pytest.mark.parametrize("forbid", ["2", "2,3,4", "a,b"])
+@pytest.mark.parametrize("argv", [["search", "--n", "4", "--r", "2"], ["tables", "--kind", "ex"]])
+def test_cli_malformed_forbid_exits_1(argv, forbid, capsys):
+    code, out = run_cli(argv + ["--forbid", forbid])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--forbid" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["search", "--n", "4", "--r", "2", "--max-nodes", "-5"], "node budget -5 is negative"),
+        (["tables", "--kind", "ex", "--max-nodes", "-5"], "node budget -5 is negative"),
+        (
+            ["search", "--backend", "rank3", "--n", "6", "--r", "3", "--rank3-point-cap", "-1"],
+            "rank-3 point cap -1 is below 3",
+        ),
+    ],
+)
+def test_cli_bad_search_budget_exits_1(argv, err, capsys):
+    code, out = run_cli(argv + ["--forbid", "2,3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_cli_zero_node_budget_is_partial():
+    code, out = run_cli(["search", "--n", "4", "--r", "2", "--forbid", "2,3", "--max-nodes", "0"])
+    assert code == 0
+    assert "nodes 0 " in out and "exhaustive no" in out
+
+
 def test_cli_blowup_pipeline():
     _, fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])
     code, out = run_cli(
@@ -391,8 +423,11 @@ def test_cli_verify_theorems_failure_exits_2(monkeypatch):
 
 
 def test_cli_theorem_violation_exits_2(monkeypatch):
+    import turan_matroids
     import turan_matroids.cli as cli_mod
-    from turan_matroids.rank3 import TheoremViolation
+    from turan_matroids.matroid import TheoremViolation
+
+    assert turan_matroids.TheoremViolation is TheoremViolation
 
     def boom(args):
         raise TheoremViolation("synthetic escalation")

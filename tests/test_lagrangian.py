@@ -24,10 +24,10 @@ from turan_matroids.lagrangian import (
 from turan_matroids.matroid import (
     Matroid,
     MatroidError,
+    TheoremViolation,
     direct_sum,
     parallel_blowup,
 )
-from turan_matroids.rank3 import TheoremViolation
 
 from conftest import oracle_matroids
 from oracles import (
