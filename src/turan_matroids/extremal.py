@@ -451,13 +451,13 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
             if not alive or exhausted:
                 return
             for i in range(start, len(candidates)):
-                if exhausted:
-                    return
                 ln = candidates[i]
                 if all((ln & other).bit_count() <= 1 for other in family):
                     family.append(ln)
                     dfs(i + 1, family, free)
                     family.pop()
+                    if exhausted:
+                        return
 
         dfs(0, [], False)
 

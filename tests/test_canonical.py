@@ -76,11 +76,11 @@ def test_are_isomorphic_rejects_different_matroids():
     assert canonical_bases(6, disjoint.bases) != canonical_bases(6, crossing.bases)
 
 
-def _degrees(n, family):
+def degree_sequence(n, family):
     return sorted(sum(b >> e & 1 for b in family) for e in range(n))
 
 
-def _switched(family, rng, times):
+def swapped(family, rng, times):
     """``family`` after up to ``times`` random swaps B1 - x + y, B2 - y + x,
     which keep every member's size and every element's degree."""
     family = set(family)
@@ -101,7 +101,7 @@ def test_are_isomorphic_matches_oracle():
         other = relabeled(M.n, M.bases, rng)
         assert are_isomorphic(M.n, M.bases, other) and are_isomorphic_oracle(M.n, M.bases, other)
     for A, B in combinations(matroids, 2):
-        if A.n == B.n and _degrees(A.n, A.bases) == _degrees(B.n, B.bases):
+        if A.n == B.n and degree_sequence(A.n, A.bases) == degree_sequence(B.n, B.bases):
             assert are_isomorphic(A.n, A.bases, B.bases) == are_isomorphic_oracle(
                 A.n, A.bases, B.bases
             )
@@ -115,8 +115,8 @@ def test_are_isomorphic_matches_oracle():
         r = rng.randint(2, min(3, n - 2))
         all_r = [mask_of(c) for c in combinations(range(n), r)]
         fam = rng.sample(all_r, rng.randint(2, len(all_r) - 1))
-        other = relabeled(n, _switched(fam, rng, rng.randint(0, 3)), rng)
-        assert _degrees(n, fam) == _degrees(n, other)
+        other = relabeled(n, swapped(fam, rng, rng.randint(0, 3)), rng)
+        assert degree_sequence(n, fam) == degree_sequence(n, other)
         answer = are_isomorphic(n, fam, other)
         assert answer == are_isomorphic_oracle(n, fam, other)
         answers.add(answer)
