@@ -95,6 +95,25 @@ def _forbid_pair(text: str) -> tuple[int, int]:
     return s, t
 
 
+def _n_range(text: str) -> range:
+    """The n values lo..hi of a ``--n-range lo:hi`` flag."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise MatroidError(f"--n-range expects two integers lo:hi, got {text!r}") from None
+    if lo > hi:
+        raise MatroidError(f"--n-range {text!r} is empty: lo exceeds hi")
+    return range(lo, hi + 1)
+
+
+def _q_list(text: str) -> list[int]:
+    """The orders of a ``--q-list q1,q2,...`` flag; empty items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise MatroidError(f"--q-list expects comma-separated integers, got {text!r}") from None
+
+
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -248,17 +267,17 @@ def cmd_tables(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     if args.kind == "density-u2":
         writer.writerow(["r", "q", "density", "decimal"])
-        qs = [int(x) for x in args.q_list.split(",") if x]
+        qs = _q_list(args.q_list)
         for r in range(2, args.max_r + 1):
             for q in qs:
                 d = bounds_mod.u2_density(r, q)
                 writer.writerow([r, q, _frac_str(d), f"{float(d):.12f}"])
     else:  # kind == "ex"
         s, t = _forbid_pair(args.forbid)
-        lo, hi = (int(x) for x in args.n_range.split(":"))
+        n_values = _n_range(args.n_range)
         writer.writerow(["n", "r", "s", "t", "max_bases", "binomial", "density", "exhaustive"])
         opts = SearchOptions(max_nodes=args.max_nodes)
-        for row in density_rows(args.r, s, t, range(lo, hi + 1), opts):
+        for row in density_rows(args.r, s, t, n_values, opts):
             writer.writerow(
                 [
                     row["n"],

@@ -51,7 +51,7 @@ from .matroid import (
     truncate,
     validate_exchange,
 )
-from .minors import has_uniform_minor, has_uniform_restriction, uniform_minor_oracle
+from .minors import has_uniform_minor, uniform_minor_oracle
 
 DEFAULT_MAX_NODES = 20_000_000
 SPLIT_DEPTH = 4  # the generic search runs 2**SPLIT_DEPTH prefix subtrees
@@ -343,6 +343,50 @@ def exhaustive_oracle_max_bases(n: int, r: int, s: int, t: int):
     return best, champions
 
 
+def _push_line(through, counts, ln: int) -> None:
+    """Add the long line ``ln`` to the per-point state of a line family:
+    ``through[e]`` lists the long lines through point e and ``counts[e]``
+    is the number of lines through e, 2-point lines included, which is
+    p - 1 - sum of (|L| - 2) over the long lines L through e."""
+    drop = ln.bit_count() - 2
+    for e in bit_indices(ln):
+        through[e].append(ln)
+        counts[e] -= drop
+
+
+def _pop_line(through, counts, ln: int) -> None:
+    """Undo ``_push_line`` for the line pushed last."""
+    drop = ln.bit_count() - 2
+    for e in bit_indices(ln):
+        through[e].pop()
+        counts[e] += drop
+
+
+def _has_arc(through, t: int) -> bool:
+    """Whether some t points have no three on one long line, that is,
+    whether the simple rank-3 matroid has a U(3, t)-restriction.
+
+    A DFS adds points in increasing order; a new point e blocks the rest of
+    every long line through e that already holds a chosen point.
+    """
+
+    def grow(chosen: int, size: int, left: int) -> bool:
+        if size == t:
+            return True
+        while size + left.bit_count() >= t:
+            bit = left & -left
+            left ^= bit
+            blocked = 0
+            for ln in through[bit.bit_length() - 1]:
+                if ln & chosen:
+                    blocked |= ln
+            if grow(chosen | bit, size + 1, left & ~blocked):
+                return True
+        return False
+
+    return grow(0, 0, (1 << len(through)) - 1)
+
+
 def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -> SearchReport:
     """Rank-3 geometric backend for the extremal search.
 
@@ -351,9 +395,19 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     (as families of pairwise almost-disjoint long lines on p labeled
     points), rejects ones containing the forbidden structure, and then
     maximizes the blow-up count exactly over all multiplicity vectors
-    summing to n.  Forbidden-structure checks run on the simple matroid:
-    a U(3,t)-minor of a rank-3 matroid is the same thing as a U(3,t)-
-    restriction, and U(2,t)-minors are insensitive to parallel copies.
+    summing to n.  Forbidden structures are read off the line family and
+    are insensitive to parallel copies:
+
+    - a simple rank-3 matroid has a U(2,t)-minor exactly when some point
+      lies on at least t lines, 2-point lines included: its rank-2 minors
+      are M/e\\D, whose parallel classes are the lines through e,
+      or subsets of a line L, and a point off L lies on >= |L| lines;
+    - a U(3,t)-minor of a rank-3 matroid is a U(3,t)-restriction, a set of
+      t points with no three on a long line (``_has_arc``).
+
+    The walk keeps the point pairs its lines use (two lines are compatible
+    when they share no pair) and the per-point state of ``_push_line``;
+    only free nodes build their matroid.
 
     Exhaustive only while opts.rank3_point_cap reaches n; line families on
     more simple points than the cap are not visited and the report is
@@ -403,11 +457,6 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
         rec(0, n, [])
         return best_val, best_mult
 
-    # freeness is monotone under adding lines only for s = 3 (lines destroy
-    # independent triples); for s = 2 a new long line can itself be the
-    # forbidden line restriction, so it is rechecked every time
-    free_monotone = s == 3
-
     for p in range(3, p_cap + 1):
         if exhausted:
             break
@@ -416,28 +465,37 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
             for combo in combinations(range(p), k):
                 candidates.append(mask_of(combo))
         candidates.sort()
+        # bit i * p + j stands for the point pair {i, j}
+        pairs = [
+            sum(1 << (i * p + j) for i, j in combinations(bit_indices(ln), 2))
+            for ln in candidates
+        ]
+        full = (1 << p) - 1
+        through = [[] for _ in range(p)]
+        counts = [p - 1] * p
 
         def process(family, parent_free):
             """(alive, free): alive=False prunes extensions (rank collapse
-            is permanent under adding lines)."""
+            is permanent under adding lines).  Adding a line removes arcs
+            and lowers the line counts of its points, so freeness passes
+            from parent to child for both s."""
             nonlocal nodes, best, champions, pruned_forbidden, exhausted
             if nodes >= budget:
                 exhausted = True
                 return False, False
             nodes += 1
-            try:
-                simple = rank3_from_lines(p, family)
-            except MatroidError:
+            if family == [full]:
                 return False, False  # all triples collinear: rank below 3
-            if parent_free and free_monotone:
+            if parent_free:
                 free = True
             elif s == 3:
-                free = not has_uniform_restriction(simple, 3, t)[0]
+                free = not _has_arc(through, t)
             else:
-                free = not has_uniform_minor(simple, 2, t)[0]
+                free = max(counts) < t
             if not free:
                 pruned_forbidden += 1
                 return True, False
+            simple = rank3_from_lines(p, family)
             val, mult = blowup_optimum(simple)
             if val > best:
                 best = val
@@ -446,20 +504,23 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
                 champions.append(parallel_blowup(simple, mult).bases)
             return True, True
 
-        def dfs(start, family, parent_free):
-            alive, free = process(tuple(family), parent_free)
+        def dfs(start, family, used, parent_free):
+            alive, free = process(family, parent_free)
             if not alive or exhausted:
                 return
             for i in range(start, len(candidates)):
+                if pairs[i] & used:
+                    continue
                 ln = candidates[i]
-                if all((ln & other).bit_count() <= 1 for other in family):
-                    family.append(ln)
-                    dfs(i + 1, family, free)
-                    family.pop()
-                    if exhausted:
-                        return
+                family.append(ln)
+                _push_line(through, counts, ln)
+                dfs(i + 1, family, used | pairs[i], free)
+                _pop_line(through, counts, ln)
+                family.pop()
+                if exhausted:
+                    return
 
-        dfs(0, [], False)
+        dfs(0, [], 0, False)
 
     exhaustive = (p_cap >= n) and not exhausted
     witnesses = _witnesses(n, champions, opts.witness_cap)

@@ -12,6 +12,7 @@ from math import comb, fsum
 import numpy as np
 
 from turan_matroids.bitsets import bit_indices, mask_of, subsets_of_size
+from turan_matroids.extremal import SearchOptions, SearchReport, _witnesses
 from turan_matroids.geometry import lines_of, rank3_from_lines, rank3_multiline
 from turan_matroids.hypergraphs import _complete_extension
 from turan_matroids.matroid import (
@@ -23,6 +24,7 @@ from turan_matroids.matroid import (
     rank_of,
     validate_exchange,
 )
+from turan_matroids.minors import has_uniform_minor, has_uniform_restriction
 
 
 def projective_basis_count_recursive(r: int, t: int) -> Fraction:
@@ -408,3 +410,116 @@ def are_isomorphic_oracle(n: int, bases_a, bases_b) -> bool:
         return False
 
     return assign(0)
+
+
+def search_ex_rank3_oracle(n: int, s: int, t: int, opts: SearchOptions | None = None) -> SearchReport:
+    """``extremal.search_ex_rank3`` as it was before it read minor-freeness
+    off the line family: every node builds its simple matroid with
+    ``rank3_from_lines`` and asks ``has_uniform_restriction`` (s = 3) or
+    ``has_uniform_minor`` (s = 2).  Same DFS, budget and report."""
+    opts = opts or SearchOptions()
+    if s not in (2, 3):
+        raise MatroidError("rank-3 backend supports forbidding U(2,t) or U(3,t)")
+    if t < s:
+        raise MatroidError("need t >= s")
+    if s == 3 and t == 3:
+        raise MatroidError("every rank-3 matroid has a U(3,3)-minor")
+    if n < 3:
+        raise MatroidError("rank 3 needs n >= 3")
+
+    budget = opts.max_nodes
+    nodes = 0
+    pruned_forbidden = 0
+    best = 0
+    champions = []
+    exhausted = False
+    p_cap = min(n, opts.rank3_point_cap)
+
+    def blowup_optimum(simple: Matroid):
+        """Exact max of the blow-up basis count over multiplicities >= 1
+        summing to n, with one optimal vector."""
+        p = simple.n
+        base_elems = [list(bit_indices(b)) for b in simple.bases]
+        best_val, best_mult = -1, None
+
+        def rec(i, left, mult):
+            nonlocal best_val, best_mult
+            if i == p - 1:
+                full = mult + [left]
+                val = 0
+                for elems in base_elems:
+                    prod = 1
+                    for e in elems:
+                        prod *= full[e]
+                    val += prod
+                if val > best_val:
+                    best_val, best_mult = val, list(full)
+                return
+            for m_i in range(1, left - (p - 1 - i) + 1):
+                rec(i + 1, left - m_i, mult + [m_i])
+
+        rec(0, n, [])
+        return best_val, best_mult
+
+    # only s = 3 inherits freeness from the parent; s = 2 is tested at every
+    # node, so the search's carrying of U(2,t)-freeness is checked against it
+    free_monotone = s == 3
+
+    for p in range(3, p_cap + 1):
+        if exhausted:
+            break
+        candidates = []
+        for k in range(3, p + 1):
+            for combo in combinations(range(p), k):
+                candidates.append(mask_of(combo))
+        candidates.sort()
+
+        def process(family, parent_free):
+            """(alive, free): alive=False prunes extensions (rank collapse
+            is permanent under adding lines)."""
+            nonlocal nodes, best, champions, pruned_forbidden, exhausted
+            if nodes >= budget:
+                exhausted = True
+                return False, False
+            nodes += 1
+            try:
+                simple = rank3_from_lines(p, family)
+            except MatroidError:
+                return False, False  # all triples collinear: rank below 3
+            if parent_free and free_monotone:
+                free = True
+            elif s == 3:
+                free = not has_uniform_restriction(simple, 3, t)[0]
+            else:
+                free = not has_uniform_minor(simple, 2, t)[0]
+            if not free:
+                pruned_forbidden += 1
+                return True, False
+            val, mult = blowup_optimum(simple)
+            if val > best:
+                best = val
+                champions = []
+            if val == best and len(champions) < opts.witness_cap:
+                champions.append(parallel_blowup(simple, mult).bases)
+            return True, True
+
+        def dfs(start, family, parent_free):
+            alive, free = process(tuple(family), parent_free)
+            if not alive or exhausted:
+                return
+            for i in range(start, len(candidates)):
+                ln = candidates[i]
+                if all((ln & other).bit_count() <= 1 for other in family):
+                    family.append(ln)
+                    dfs(i + 1, family, free)
+                    family.pop()
+                    if exhausted:
+                        return
+
+        dfs(0, [], False)
+
+    exhaustive = (p_cap >= n) and not exhausted
+    witnesses = _witnesses(n, champions, opts.witness_cap)
+    return SearchReport(
+        n, 3, s, t, best, witnesses, nodes, pruned_forbidden, 0, exhaustive
+    )

@@ -1,6 +1,7 @@
 """Extremal searches, rank-3 structure machinery, and probes."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,15 +18,17 @@ from turan_matroids.extremal import (
     truncation_probe,
     density_rows,
 )
+from turan_matroids.bitsets import mask_of
 from turan_matroids.geometry import (
     bose_burton,
     projective_geometry,
+    rank3_from_lines,
     rank3_multiline,
     two_disjoint_lines,
     uniform,
 )
 from turan_matroids.matroid import MatroidError, exchange_violation, validate_exchange
-from turan_matroids.minors import has_uniform_minor, has_uniform_restriction
+from turan_matroids.minors import has_uniform_minor, has_uniform_restriction, uniform_minor_oracle
 from turan_matroids.rank3 import (
     NoU25Minor,
     TwoLines,
@@ -34,7 +37,7 @@ from turan_matroids.rank3 import (
     line_cover_number,
 )
 
-from oracles import line_cover_oracle
+from oracles import line_cover_oracle, search_ex_rank3_oracle
 
 
 def test_search_small_u23_cells():
@@ -169,6 +172,86 @@ def test_rank3_backend_agrees_with_generic():
         geometric = search_ex_rank3(n, 3, t)
         assert generic.max_bases == geometric.max_bases
         assert geometric.exhaustive
+
+
+def test_rank3_search_matches_oracle():
+    # the oracle builds every node's matroid and tests it with the minor
+    # routines; reports must agree, witnesses and counters included
+    for n in range(3, 7):
+        for s in (2, 3):
+            for t in range(s, 8):
+                if (s, t) != (3, 3):
+                    assert search_ex_rank3(n, s, t) == search_ex_rank3_oracle(n, s, t)
+    assert search_ex_rank3(7, 2, 4) == search_ex_rank3_oracle(7, 2, 4)
+    for n, s, t in ((6, 2, 4), (6, 3, 5)):
+        for budget in (0, 1, 7, 100, 1000):
+            opts = SearchOptions(max_nodes=budget)
+            assert search_ex_rank3(n, s, t, opts) == search_ex_rank3_oracle(n, s, t, opts)
+
+
+def _line_families(p):
+    """Every family of long lines on p points that pairwise share at most
+    one point, except the single line through all p points."""
+    candidates = [mask_of(c) for k in range(3, p + 1) for c in combinations(range(p), k)]
+
+    def grow(start, family):
+        if family != [(1 << p) - 1]:
+            yield list(family)
+        for i in range(start, len(candidates)):
+            ln = candidates[i]
+            if all((ln & other).bit_count() <= 1 for other in family):
+                family.append(ln)
+                yield from grow(i + 1, family)
+                family.pop()
+
+    return grow(0, [])
+
+
+def test_rank3_line_state_detects_minors():
+    for p in range(3, 7):
+        for family in _line_families(p):
+            through, counts = [[] for _ in range(p)], [p - 1] * p
+            for ln in family:
+                extremal._push_line(through, counts, ln)
+            M = rank3_from_lines(p, family)
+            for t in range(3, 8):
+                many_lines = max(counts) >= t
+                arc = extremal._has_arc(through, t)
+                assert many_lines == has_uniform_minor(M, 2, t)[0], (p, family, t)
+                assert arc == has_uniform_restriction(M, 3, t)[0], (p, family, t)
+                if p <= 5:
+                    assert many_lines == uniform_minor_oracle(M, 2, t)
+                    assert arc == uniform_minor_oracle(M, 3, t)
+            for ln in reversed(family):
+                extremal._pop_line(through, counts, ln)
+            assert through == [[] for _ in range(p)] and counts == [p - 1] * p
+
+
+# (max_bases, nodes_explored, pruned_daisy, pruned_bound) of the benchmark's
+# three rank-3 searches, and how many of their nodes are free of the
+# forbidden minor, the only ones that build a matroid
+RANK3_COUNTERS = {
+    (7, 3, 5): (30, 8_783, 6_763, 0),
+    (7, 2, 4): (28, 8_783, 8_697, 0),
+    (7, 3, 4): (20, 8_783, 8_755, 0),
+}
+RANK3_BUILDS = {(7, 3, 5): 2_015, (7, 2, 4): 81, (7, 3, 4): 23}
+
+
+def test_rank3_counters_pinned(monkeypatch):
+    calls = []
+
+    def counted(p, lines):
+        calls.append(p)
+        return rank3_from_lines(p, lines)
+
+    monkeypatch.setattr(extremal, "rank3_from_lines", counted)
+    for (n, s, t), expected in RANK3_COUNTERS.items():
+        calls.clear()
+        rep = search_ex_rank3(n, s, t)
+        assert rep.exhaustive
+        assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == expected
+        assert len(calls) == RANK3_BUILDS[n, s, t]
 
 
 def test_rank3_backend_partial_beyond_point_cap():

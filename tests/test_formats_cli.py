@@ -366,6 +366,21 @@ def test_cli_malformed_forbid_exits_1(argv, forbid, capsys):
     assert err.startswith("error: ") and "--forbid" in err
 
 
+@pytest.mark.parametrize("n_range", ["2", "a:b", "5:3"])
+def test_cli_malformed_n_range_exits_1(n_range, capsys):
+    code, out = run_cli(["tables", "--kind", "ex", "--n-range", n_range])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--n-range" in err
+
+
+def test_cli_malformed_q_list_exits_1(capsys):
+    code, out = run_cli(["tables", "--kind", "density-u2", "--q-list", "2,x"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--q-list" in err
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [
