@@ -4,18 +4,18 @@ forbidden uniform minor, binary subset maximization, and truncation probes.
 The generic backend walks all subsets of the r-subsets of [n] in fixed
 lexicographic order, pruning branches that (a) already contain the
 forbidden daisy (daisy presence is monotone under edge insertion) or
-(b) cannot beat the incumbent count.  The daisy test reads a
-``hypergraphs.StemLinks`` state, the link and vertex degrees of every
-(r - s)-stem in the chosen family, which the walk updates as it adds and
-removes each edge, so no test rescans the family.  The exchange property
-is *not* prefix-monotone, so it is tested only on completed families.
-Consecutive leaves differ only in their last-decided edges, so a leaf
-first re-checks the last exchange witness found in its subtree
-(``matroid.exchange_witness_refutes``) and gets the full check only when
-that witness no longer refutes it.  The tree is split at a fixed depth
-into subtrees that run in fixed order under one node budget, each getting
-whatever its predecessors left unspent, so results and counters are
-deterministic.
+(b) cannot beat the incumbent count.  The chosen family is one
+int over edge indices.  The daisy test reads a ``hypergraphs.StemLinks``
+state, one vertex mask per (r - s)-stem and (s - 1)-set holding the
+stem's link, which the walk updates as it adds and removes each edge, so
+no test rescans the family.  The exchange property is *not*
+prefix-monotone, so it is tested only on completed families.  Consecutive
+leaves differ only in their last-decided edges, so a leaf first re-checks
+the last exchange witness found in its subtree, as two edge-index masks
+(``_witness_masks``), and gets the full check only when that witness no
+longer refutes it.  The tree is split at a fixed depth into subtrees that
+run in fixed order under one node budget, each getting whatever its
+predecessors left unspent, so results and counters are deterministic.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .matroid import (
     MatroidError,
     direct_sum,
     exchange_violation,
-    exchange_witness_refutes,
     parallel_blowup,
     truncate,
     validate_exchange,
@@ -108,8 +107,9 @@ def _candidate_constructions(n: int, r: int, s: int, t: int):
     if r == 0 or n < r:
         return out
     free = uniform(r, r)
-    if s == 1:
-        # r parallel classes of size at most t-1, leftovers become loops
+    if s == 1 and t >= 2:
+        # r parallel classes of size at most t-1, leftovers become loops;
+        # every matroid of rank r >= 1 has a U(1, 1)-minor, so t = 1 has none
         sizes = [1] * r
         budget = n - r
         for i in range(r):
@@ -168,63 +168,81 @@ def best_known_construction(n: int, r: int, s: int, t: int):
     return best
 
 
-def _subtree_search(edges, n, r, s, t, prefix_bits, depth, threshold, budget, cap):
+def _witness_masks(witness, index):
+    """The ("exchange", B1, B2, x) ``witness`` as two masks over edge
+    indices (``index`` maps an edge to its index): ``need`` holds B1 and
+    B2, and ``repair`` holds B1 - x + y for each y in B2 - B1.
+
+    A family ``fam`` (a mask over edge indices) is refuted by the witness
+    when ``fam & need == need and not fam & repair``: B1 and B2 are in it
+    and no y in B2 - B1 repairs the removal of x from B1, so axiom (B1)
+    fails for (B1, B2, x).
+    """
+    _, b1, b2, x = witness
+    removed = b1 & ~(1 << x)
+    need = 1 << index[b1] | 1 << index[b2]
+    repair = 0
+    for y in bit_indices(b2 & ~b1):
+        repair |= 1 << index[removed | 1 << y]
+    return need, repair
+
+
+def _subtree_search(links, index, prefix_bits, depth, threshold, budget, cap):
     """DFS one fixed prefix of include/exclude decisions, visiting at most
     ``budget`` nodes; returns
     (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted).
 
-    The chosen edges are mirrored in a ``StemLinks`` state: every edge is
-    pushed onto it when chosen, in the prefix and in the DFS, and popped
-    when the DFS backtracks, so the daisy test of each new edge reads the
-    current links of the stems inside it.
+    The chosen family is a mask over indices into ``links.edges`` with a
+    running count.  Every chosen edge is pushed onto ``links``, in the
+    prefix and in the DFS, and popped when the DFS backtracks, so the
+    daisy test of each new edge reads the current links of the stems
+    inside it; ``links`` is left empty on return.
 
     A leaf that could match the incumbent is rejected at once when the
     last ("exchange", B1, B2, x) witness returned by ``exchange_violation``
-    in this subtree still refutes it: B1 and B2 are chosen and no y in
-    B2 - B1 has B1 - x + y chosen.  Otherwise it gets the full check, and
-    a violation found there becomes the new witness.  A leaf is accepted
-    only by the full check and rejected only by a re-verified violation,
-    so the search visits, counts and keeps exactly what a full check at
-    every leaf would."""
-    m = len(edges)
+    in this subtree still refutes it (``_witness_masks``).  Otherwise it
+    gets the full check, and a violation found there becomes the new
+    witness.  A leaf is accepted only by the full check and rejected only
+    by a re-verified violation, so the search visits, counts and keeps
+    exactly what a full check at every leaf would."""
+    edges = links.edges
+    n, m = links.n, len(edges)
+    push, pop = links.push, links.pop
     nodes = 0
     pruned_daisy = 0
     pruned_bound = 0
     exhausted = False
-    chosen = []
-    links = StemLinks(n, r, s, t)
-    for i in range(depth):
-        if prefix_bits >> i & 1:
-            e = edges[i]
-            chosen.append(e)
-            links.push(e)
-            if daisy_completed_by_edge(links, e):
-                return (threshold, [], 1, 1, 0, False)
+    prefix = [i for i in range(depth) if prefix_bits >> i & 1]
+    for j, i in enumerate(prefix):
+        push(i)
+        if daisy_completed_by_edge(links, i):
+            for pushed in prefix[: j + 1]:
+                pop(pushed)
+            return (threshold, [], 1, 1, 0, False)
     best = threshold
     witnesses = []
-    refuter = None  # the last exchange witness found in this subtree
+    # the last exchange witness found in this subtree; until there is one,
+    # ``need`` holds an index past the last edge and refutes no family
+    need, repair = 1 << m, 0
 
-    def leaf():
-        nonlocal best, witnesses, refuter
-        if not chosen:
+    def leaf(fam, count):
+        nonlocal best, witnesses, need, repair
+        if not count or count < best:
             return
-        count = len(chosen)
-        if count < best:
+        if fam & need == need and not fam & repair:
             return
-        family = set(chosen)
-        if refuter is not None and exchange_witness_refutes(family, refuter):
-            return
+        family = [edges[i] for i in bit_indices(fam)]
         violation = exchange_violation(n, family)
         if violation is not None:
-            refuter = violation
+            need, repair = _witness_masks(violation, index)
             return
         if count > best:
             best = count
             witnesses = []
         if len(witnesses) < cap:
-            witnesses.append(tuple(sorted(chosen)))
+            witnesses.append(tuple(sorted(family)))
 
-    def dfs(idx):
+    def dfs(idx, fam, count):
         nonlocal nodes, pruned_daisy, pruned_bound, exhausted
         if exhausted:
             return
@@ -233,23 +251,22 @@ def _subtree_search(edges, n, r, s, t, prefix_bits, depth, threshold, budget, ca
             return
         nodes += 1
         if idx == m:
-            leaf()
+            leaf(fam, count)
             return
-        if len(chosen) + (m - idx) < best:
+        if count + (m - idx) < best:
             pruned_bound += 1
             return
-        e = edges[idx]
-        chosen.append(e)
-        links.push(e)
-        if daisy_completed_by_edge(links, e):
+        push(idx)
+        if daisy_completed_by_edge(links, idx):
             pruned_daisy += 1
         else:
-            dfs(idx + 1)
-        chosen.pop()
-        links.pop(e)
-        dfs(idx + 1)
+            dfs(idx + 1, fam | 1 << idx, count + 1)
+        pop(idx)
+        dfs(idx + 1, fam, count)
 
-    dfs(depth)
+    dfs(depth, mask_of(prefix), len(prefix))
+    for i in prefix:
+        pop(i)
     return (best, witnesses, nodes, pruned_daisy, pruned_bound, exhausted)
 
 
@@ -261,7 +278,8 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     a valid candidate, so ties with it are still collected).  The prefix
     subtrees share ``opts.max_nodes`` in fixed order; once it is spent the
     remaining subtrees are skipped and the report is partial
-    (exhaustive=False).
+    (exhaustive=False).  They also share one ``StemLinks`` state, which
+    each leaves empty.
     """
     opts = opts or SearchOptions()
     if not (1 <= s <= t):
@@ -270,14 +288,15 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
         raise MatroidError("need 0 < r <= n")
     if n > MAX_GROUND_SET:
         raise MatroidError("ground set too large")
-    edges = [mask_of(c) for c in combinations(range(n), r)]
-    m = len(edges)
+    m = comb(n, r)
     if s > r:
         # no rank-s minor exists; the unrestricted maximum is the uniform matroid
         witnesses = _witnesses(n, [uniform(r, n).bases], opts.witness_cap)
         return SearchReport(n, r, s, t, m, witnesses, 1, 0, 0, True)
     seed = best_known_construction(n, r, s, t)
     threshold = seed.basis_count if seed is not None else 0
+    links = StemLinks(n, r, s, t)
+    index = {e: i for i, e in enumerate(links.edges)}
 
     depth = min(SPLIT_DEPTH, m)
     left = opts.max_nodes
@@ -285,7 +304,7 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     for prefix in range(1 << depth):
         if left <= 0:
             break
-        res = _subtree_search(edges, n, r, s, t, prefix, depth, threshold, left, opts.witness_cap)
+        res = _subtree_search(links, index, prefix, depth, threshold, left, opts.witness_cap)
         results.append(res)
         left -= res[2]
     exhaustive = len(results) == 1 << depth and not any(res[5] for res in results)

@@ -5,9 +5,10 @@ edges are S union X for a fixed d-set S (d = r - s) and all s-subsets X of
 a fixed t-set T disjoint from S.  It equals the rank-r suspension of the
 complete s-graph on t vertices.
 
-``StemLinks`` keeps every stem's link in a family that changes one edge
-at a time, and ``daisy_completed_by_edge`` asks it whether the last edge
-added completed a daisy; the extremal search uses the pair.
+``StemLinks`` keeps every stem's link, as one vertex mask per stem and
+(s-1)-set, in a family of edges that changes one edge at a time, and
+``daisy_completed_by_edge`` asks it whether the last edge added completed
+a daisy; the extremal search uses the pair.
 """
 
 from __future__ import annotations
@@ -131,69 +132,95 @@ class StemLinks:
     """The link of every (k - s)-set (stem) in a family of k-subsets of
     [n] that gains and loses one edge at a time, for (s, t) daisy checks.
 
-    ``link[stem]`` is {e - stem : stem a subset of e in the family}, and
-    ``degree[stem][u]`` counts the members of that link containing u.
-    ``push`` and ``pop`` keep both current, so ``daisy_completed_by_edge``
-    reads a stem's link and degrees instead of rebuilding them from the
-    family.  For every k-subset of [n], ``petals`` lists, per stem inside
-    it in lexicographic order, that stem's link and degrees and the rest
-    of the edge (the petal) as a mask, as vertices and as its
-    (s-1)-subsets: C(n, k) * C(k, s) entries, built once.
+    Edges are named by their index in ``edges``, the k-subsets of [n] in
+    lexicographic order.  A stem S and an (s-1)-set F disjoint from it
+    have a slot, ``slot_of[S << n | F]``, and ``masks[slot]`` is the mask
+    of the vertices u for which S | F | {u} is in the family.  Edge e owns
+    one bit in each of C(k, s) * s slots: bit u of the slot of
+    (S, e - S - u), for every stem S inside e and u in e - S.  ``push``
+    ORs those bits in and ``pop`` XORs them out; no two edges own the same
+    bit, so edges may be popped in any order.  ``stems[i]`` lists, per
+    stem S inside edge i in lexicographic order, the key base S << n, the
+    petal e - S as a mask and the slots of the petal's (s-1)-subsets.
     """
 
     def __init__(self, n: int, k: int, s: int, t: int):
         if not 1 <= s <= k or t < s:
             raise MatroidError("need 1 <= s <= k and t >= s")
         self.n, self.s, self.t = n, s, t
-        self.min_link = comb(t, s)
-        self.min_degree = comb(t - 1, s - 1)
-        self.link = {mask_of(c): set() for c in combinations(range(n), k - s)}
-        self.degree = {stem: [0] * n for stem in self.link}
-        self.petals = {}
-        for c in combinations(range(n), k):
-            edge = mask_of(c)
-            self.petals[edge] = tuple(
-                (
-                    self.link[stem],
-                    self.degree[stem],
-                    edge ^ stem,
-                    tuple(bit_indices(edge ^ stem)),
-                    tuple(subsets_of_size(edge ^ stem, s - 1)),
-                )
-                for stem in subsets_of_size(edge, k - s)
-            )
+        self.edges = [mask_of(c) for c in combinations(range(n), k)]
+        self.slot_of = {}
+        self.bits = []
+        self.stems = []
+        for edge in self.edges:
+            bits, stems = [], []
+            for stem in subsets_of_size(edge, k - s):
+                base, petal = stem << n, edge ^ stem
+                slots = []
+                for face in subsets_of_size(petal, s - 1):
+                    slot = self.slot_of.setdefault(base | face, len(self.slot_of))
+                    slots.append(slot)
+                    bits.append((slot, petal & ~face))
+                stems.append((base, petal, tuple(slots)))
+            self.bits.append(tuple(bits))
+            self.stems.append(tuple(stems))
+        self.masks = [0] * len(self.slot_of)
 
-    def push(self, edge: int) -> None:
-        for link, degree, petal, vertices, _ in self.petals[edge]:
-            link.add(petal)
-            for u in vertices:
-                degree[u] += 1
+    def push(self, i: int) -> None:
+        masks = self.masks
+        for slot, bit in self.bits[i]:
+            masks[slot] |= bit
 
-    def pop(self, edge: int) -> None:
-        for link, degree, petal, vertices, _ in self.petals[edge]:
-            link.remove(petal)
-            for u in vertices:
-                degree[u] -= 1
+    def pop(self, i: int) -> None:
+        masks = self.masks
+        for slot, bit in self.bits[i]:
+            masks[slot] ^= bit
 
 
-def daisy_completed_by_edge(links: StemLinks, new_edge: int) -> bool:
-    """Does the family held in ``links`` contain an (s, t) daisy through
-    ``new_edge``?
+def _petals_extend(links: StemLinks, base: int, chosen: int, cand: int, need: int) -> bool:
+    """Do ``need`` >= 2 members of ``cand`` extend the petal set
+    ``chosen`` of the stem ``base >> n``, for s >= 2?
 
-    ``new_edge`` must already be pushed.  When the family without it has
-    no daisy, this says whether adding it created one: daisy presence is
-    monotone under edge insertion, so only daisies using ``new_edge``
-    need checking.  For each stem inside ``new_edge``, the petal set must
-    contain the rest of ``new_edge`` (the forced petal) and is completed
-    from vertices of link degree at least C(t-1, s-1).
+    ``cand`` holds the vertices u outside the stem and ``chosen`` for which
+    every s-subset of ``chosen`` | {u} is in the stem's link.  Vertices are
+    added in increasing order; adding u keeps the later candidates that
+    lie in the mask of {u} | G for every (s-2)-subset G of ``chosen``, and
+    a branch stops when fewer candidates are left than vertices needed.
     """
-    n, s, min_degree = links.n, links.s, links.min_degree
-    for link, degree, petal, forced, faces in links.petals[new_edge]:
-        if len(link) < links.min_link:
-            continue
-        if min([degree[x] for x in forced]) < min_degree:
-            continue
-        candidates = [u for u in range(n) if degree[u] >= min_degree and not petal >> u & 1]
-        if _complete_extension(link, petal, faces, candidates, links.t - s, s) is not None:
+    masks, slot_of = links.masks, links.slot_of
+    faces = tuple(subsets_of_size(chosen, links.s - 2))
+    while cand.bit_count() >= need:
+        low = cand & -cand
+        cand ^= low
+        rest = cand
+        for face in faces:
+            rest &= masks[slot_of[base | face | low]]
+        if rest.bit_count() >= need - 1 and (
+            need == 2 or _petals_extend(links, base, chosen | low, rest, need - 1)
+        ):
+            return True
+    return False
+
+
+def daisy_completed_by_edge(links: StemLinks, i: int) -> bool:
+    """Does the family held in ``links`` contain an (s, t) daisy through
+    edge ``i``?
+
+    Edge ``i`` must already be pushed.  When the family without it has no
+    daisy, this says whether adding it created one: daisy presence is
+    monotone under edge insertion, so only daisies using edge ``i`` need
+    checking.  For each stem S inside the edge, the petal set must contain
+    the rest P of the edge and t - s vertices of the AND of the masks of
+    P's (s-1)-subsets; for s = 1 any t - 1 of them will do.
+    """
+    masks, s = links.masks, links.s
+    need = links.t - s
+    for base, petal, slots in links.stems[i]:
+        cand = ~petal
+        for slot in slots:
+            cand &= masks[slot]
+        if cand.bit_count() >= need and (
+            need <= 1 or s == 1 or _petals_extend(links, base, petal, cand, need)
+        ):
             return True
     return False

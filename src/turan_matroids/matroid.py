@@ -51,8 +51,6 @@ def exchange_violation(n: int, family):
     The witness is the first violation in (B1, B2, x) order over sorted
     masks: the smallest B1 with a violation, then the smallest B2 that
     avoids one of its D, then the smallest x whose D that B2 avoids.
-    ``exchange_witness_refutes`` re-checks an "exchange" witness against
-    another family without a full check.
     """
     members = sorted(set(family))
     if not members:
@@ -83,28 +81,6 @@ def exchange_violation(n: int, family):
         if witness is not None:
             return ("exchange", b1, witness[0], witness[1])
     return None
-
-
-def exchange_witness_refutes(family, witness) -> bool:
-    """True when the ("exchange", B1, B2, x) ``witness`` shows that the set
-    ``family`` is not a basis family; False says nothing either way.
-
-    The witness refutes ``family`` when B1 is in it, B2 is in it and no
-    y in B2 - B1 has B1 - x + y in it.  Since x is in B1 and not in B2
-    (exchange_violation takes x from D, which B2 avoids), axiom (B1) then
-    fails for (B1, B2, x): a genuine violation, whatever produced the
-    witness.  Any other witness kind, or an x outside B1 - B2, is an error.
-    """
-    if witness[0] != "exchange":
-        raise MatroidError(f"not an exchange witness: {witness[0]!r}")
-    _, b1, b2, x = witness
-    bit = 1 << x
-    if not b1 & bit or b2 & bit:
-        raise MatroidError(f"exchange witness element {x} is not in B1 - B2")
-    if b1 not in family or b2 not in family:
-        return False
-    removed = b1 ^ bit
-    return not any(removed | 1 << y in family for y in bit_indices(b2 & ~b1))
 
 
 @dataclass(frozen=True)

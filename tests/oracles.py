@@ -12,14 +12,22 @@ from math import comb, fsum
 import numpy as np
 
 from turan_matroids.bitsets import bit_indices, mask_of, subsets_of_size
-from turan_matroids.extremal import SearchOptions, SearchReport, _witnesses
-from turan_matroids.geometry import lines_of, rank3_from_lines, rank3_multiline
+from turan_matroids.extremal import (
+    SPLIT_DEPTH,
+    SearchOptions,
+    SearchReport,
+    _witnesses,
+    best_known_construction,
+)
+from turan_matroids.geometry import lines_of, rank3_from_lines, rank3_multiline, uniform
 from turan_matroids.hypergraphs import _complete_extension
 from turan_matroids.matroid import (
+    MAX_GROUND_SET,
     Matroid,
     MatroidError,
     closure,
     delete,
+    exchange_violation,
     parallel_blowup,
     rank_of,
     validate_exchange,
@@ -522,4 +530,218 @@ def search_ex_rank3_oracle(n: int, s: int, t: int, opts: SearchOptions | None = 
     witnesses = _witnesses(n, champions, opts.witness_cap)
     return SearchReport(
         n, 3, s, t, best, witnesses, nodes, pruned_forbidden, 0, exhaustive
+    )
+
+
+def exchange_witness_refutes(family, witness) -> bool:
+    """True when the ("exchange", B1, B2, x) ``witness`` shows that the set
+    ``family`` is not a basis family; False says nothing either way.
+
+    The witness refutes ``family`` when B1 is in it, B2 is in it and no
+    y in B2 - B1 has B1 - x + y in it.  Since x is in B1 and not in B2
+    (exchange_violation takes x from D, which B2 avoids), axiom (B1) then
+    fails for (B1, B2, x): a genuine violation, whatever produced the
+    witness.  Any other witness kind, or an x outside B1 - B2, is an error.
+    """
+    if witness[0] != "exchange":
+        raise MatroidError(f"not an exchange witness: {witness[0]!r}")
+    _, b1, b2, x = witness
+    bit = 1 << x
+    if not b1 & bit or b2 & bit:
+        raise MatroidError(f"exchange witness element {x} is not in B1 - B2")
+    if b1 not in family or b2 not in family:
+        return False
+    removed = b1 ^ bit
+    return not any(removed | 1 << y in family for y in bit_indices(b2 & ~b1))
+
+
+class SetStemLinks:
+    """The link of every (k - s)-set (stem) in a family of k-subsets of
+    [n] that gains and loses one edge at a time, for (s, t) daisy checks.
+
+    ``link[stem]`` is {e - stem : stem a subset of e in the family}, and
+    ``degree[stem][u]`` counts the members of that link containing u.
+    ``push`` and ``pop`` keep both current, so ``set_daisy_completed_by_edge``
+    reads a stem's link and degrees instead of rebuilding them from the
+    family.  For every k-subset of [n], ``petals`` lists, per stem inside
+    it in lexicographic order, that stem's link and degrees and the rest
+    of the edge (the petal) as a mask, as vertices and as its
+    (s-1)-subsets: C(n, k) * C(k, s) entries, built once.
+    """
+
+    def __init__(self, n: int, k: int, s: int, t: int):
+        if not 1 <= s <= k or t < s:
+            raise MatroidError("need 1 <= s <= k and t >= s")
+        self.n, self.s, self.t = n, s, t
+        self.min_link = comb(t, s)
+        self.min_degree = comb(t - 1, s - 1)
+        self.link = {mask_of(c): set() for c in combinations(range(n), k - s)}
+        self.degree = {stem: [0] * n for stem in self.link}
+        self.petals = {}
+        for c in combinations(range(n), k):
+            edge = mask_of(c)
+            self.petals[edge] = tuple(
+                (
+                    self.link[stem],
+                    self.degree[stem],
+                    edge ^ stem,
+                    tuple(bit_indices(edge ^ stem)),
+                    tuple(subsets_of_size(edge ^ stem, s - 1)),
+                )
+                for stem in subsets_of_size(edge, k - s)
+            )
+
+    def push(self, edge: int) -> None:
+        for link, degree, petal, vertices, _ in self.petals[edge]:
+            link.add(petal)
+            for u in vertices:
+                degree[u] += 1
+
+    def pop(self, edge: int) -> None:
+        for link, degree, petal, vertices, _ in self.petals[edge]:
+            link.remove(petal)
+            for u in vertices:
+                degree[u] -= 1
+
+
+def set_daisy_completed_by_edge(links: SetStemLinks, new_edge: int) -> bool:
+    """Does the family held in ``links`` contain an (s, t) daisy through
+    ``new_edge``?
+
+    ``new_edge`` must already be pushed.  When the family without it has
+    no daisy, this says whether adding it created one: daisy presence is
+    monotone under edge insertion, so only daisies using ``new_edge``
+    need checking.  For each stem inside ``new_edge``, the petal set must
+    contain the rest of ``new_edge`` (the forced petal) and is completed
+    from vertices of link degree at least C(t-1, s-1).
+    """
+    n, s, min_degree = links.n, links.s, links.min_degree
+    for link, degree, petal, forced, faces in links.petals[new_edge]:
+        if len(link) < links.min_link:
+            continue
+        if min([degree[x] for x in forced]) < min_degree:
+            continue
+        candidates = [u for u in range(n) if degree[u] >= min_degree and not petal >> u & 1]
+        if _complete_extension(link, petal, faces, candidates, links.t - s, s) is not None:
+            return True
+    return False
+
+
+def _subtree_search_oracle(edges, n, r, s, t, prefix_bits, depth, threshold, budget, cap):
+    """The generic search's DFS of one prefix subtree over a list of chosen
+    edges, a ``SetStemLinks`` state built per subtree, and a set-based
+    re-check of the last exchange witness; returns
+    (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted)."""
+    m = len(edges)
+    nodes = 0
+    pruned_daisy = 0
+    pruned_bound = 0
+    exhausted = False
+    chosen = []
+    links = SetStemLinks(n, r, s, t)
+    for i in range(depth):
+        if prefix_bits >> i & 1:
+            e = edges[i]
+            chosen.append(e)
+            links.push(e)
+            if set_daisy_completed_by_edge(links, e):
+                return (threshold, [], 1, 1, 0, False)
+    best = threshold
+    witnesses = []
+    refuter = None  # the last exchange witness found in this subtree
+
+    def leaf():
+        nonlocal best, witnesses, refuter
+        if not chosen:
+            return
+        count = len(chosen)
+        if count < best:
+            return
+        family = set(chosen)
+        if refuter is not None and exchange_witness_refutes(family, refuter):
+            return
+        violation = exchange_violation(n, family)
+        if violation is not None:
+            refuter = violation
+            return
+        if count > best:
+            best = count
+            witnesses = []
+        if len(witnesses) < cap:
+            witnesses.append(tuple(sorted(chosen)))
+
+    def dfs(idx):
+        nonlocal nodes, pruned_daisy, pruned_bound, exhausted
+        if exhausted:
+            return
+        if nodes >= budget:
+            exhausted = True
+            return
+        nodes += 1
+        if idx == m:
+            leaf()
+            return
+        if len(chosen) + (m - idx) < best:
+            pruned_bound += 1
+            return
+        e = edges[idx]
+        chosen.append(e)
+        links.push(e)
+        if set_daisy_completed_by_edge(links, e):
+            pruned_daisy += 1
+        else:
+            dfs(idx + 1)
+        chosen.pop()
+        links.pop(e)
+        dfs(idx + 1)
+
+    dfs(depth)
+    return (best, witnesses, nodes, pruned_daisy, pruned_bound, exhausted)
+
+
+def search_ex_oracle(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None) -> SearchReport:
+    """``extremal.search_ex`` over set-based state: the same DFS, prefix
+    subtrees, budget and report, with each subtree holding its chosen
+    family as a list of masks and every stem's link as a set."""
+    opts = opts or SearchOptions()
+    if not (1 <= s <= t):
+        raise MatroidError("need 1 <= s <= t")
+    if not (0 < r <= n):
+        raise MatroidError("need 0 < r <= n")
+    if n > MAX_GROUND_SET:
+        raise MatroidError("ground set too large")
+    edges = [mask_of(c) for c in combinations(range(n), r)]
+    m = len(edges)
+    if s > r:
+        # no rank-s minor exists; the unrestricted maximum is the uniform matroid
+        witnesses = _witnesses(n, [uniform(r, n).bases], opts.witness_cap)
+        return SearchReport(n, r, s, t, m, witnesses, 1, 0, 0, True)
+    seed = best_known_construction(n, r, s, t)
+    threshold = seed.basis_count if seed is not None else 0
+
+    depth = min(SPLIT_DEPTH, m)
+    left = opts.max_nodes
+    results = []
+    for prefix in range(1 << depth):
+        if left <= 0:
+            break
+        res = _subtree_search_oracle(
+            edges, n, r, s, t, prefix, depth, threshold, left, opts.witness_cap
+        )
+        results.append(res)
+        left -= res[2]
+    exhaustive = len(results) == 1 << depth and not any(res[5] for res in results)
+
+    max_bases = max((res[0] for res in results), default=threshold)
+    nodes = sum(res[2] for res in results)
+    pruned_daisy = sum(res[3] for res in results)
+    pruned_bound = sum(res[4] for res in results)
+    families = []
+    for res in results:
+        families.extend(fam for fam in res[1] if len(fam) == max_bases)
+    if not families and seed is not None and seed.basis_count == max_bases:
+        families = [seed.bases]
+    witnesses = _witnesses(n, families, opts.witness_cap)
+    return SearchReport(
+        n, r, s, t, max_bases, witnesses, nodes, pruned_daisy, pruned_bound, exhaustive
     )

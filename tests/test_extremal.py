@@ -1,5 +1,6 @@
 """Extremal searches, rank-3 structure machinery, and probes."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,7 @@ from turan_matroids.extremal import (
     truncation_probe,
     density_rows,
 )
-from turan_matroids.bitsets import mask_of
+from turan_matroids.bitsets import bit_indices, mask_of
 from turan_matroids.geometry import (
     bose_burton,
     projective_geometry,
@@ -27,6 +28,7 @@ from turan_matroids.geometry import (
     two_disjoint_lines,
     uniform,
 )
+from turan_matroids.hypergraphs import daisy_completed_by_edge
 from turan_matroids.matroid import MatroidError, exchange_violation, validate_exchange
 from turan_matroids.minors import has_uniform_minor, has_uniform_restriction, uniform_minor_oracle
 from turan_matroids.rank3 import (
@@ -37,7 +39,12 @@ from turan_matroids.rank3 import (
     line_cover_number,
 )
 
-from oracles import line_cover_oracle, search_ex_rank3_oracle
+from oracles import (
+    exchange_witness_refutes,
+    line_cover_oracle,
+    search_ex_oracle,
+    search_ex_rank3_oracle,
+)
 
 
 def test_search_small_u23_cells():
@@ -157,6 +164,85 @@ def test_search_full_exchange_checks_pinned(monkeypatch):
         assert rep.exhaustive
         counters = (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound)
         assert counters + (len(calls),) == expected
+
+
+# (calls, hits) of the incremental daisy check in the LEAF_CHECKS searches:
+# one call per edge added, in the prefixes and in the walk
+DAISY_CHECKS = {
+    (6, 3, 3, 4): (139_989, 50_545),
+    (6, 3, 2, 5): (288_158, 1_345),
+    (7, 2, 2, 3): (31_367, 16_853),
+}
+
+
+def test_search_daisy_checks_pinned(monkeypatch):
+    answers = []
+
+    def counted(links, i):
+        answers.append(daisy_completed_by_edge(links, i))
+        return answers[-1]
+
+    monkeypatch.setattr(extremal, "daisy_completed_by_edge", counted)
+    for cell, expected in DAISY_CHECKS.items():
+        answers.clear()
+        assert search_ex(*cell).exhaustive
+        assert (len(answers), sum(answers)) == expected
+
+
+def _oracle_cells(max_n):
+    """Every (n, r, s, t) with n <= max_n, s <= r and s <= t <= n - r + s + 1."""
+    for n in range(1, max_n + 1):
+        for r in range(1, n + 1):
+            for s in range(1, r + 1):
+                for t in range(s, n - r + s + 2):
+                    yield n, r, s, t
+
+
+def test_search_matches_oracle():
+    # the oracle is the same walk over a list of chosen edges and set-based
+    # stem links; reports must agree, witnesses and counters included
+    cells = [cell for cell in _oracle_cells(6) if cell[0] <= 5 or cell[1] != 3]
+    cells += [*SEARCH_COUNTERS, *LEAF_CHECKS]
+    assert len(cells) == 105 + 62 + 8
+    for cell in cells:
+        assert search_ex(*cell) == search_ex_oracle(*cell), cell
+    for cell in ((6, 3, 3, 4), (6, 3, 2, 5)):
+        for budget in (0, 1, 17, 777):
+            opts = SearchOptions(max_nodes=budget)
+            assert search_ex(*cell, opts) == search_ex_oracle(*cell, opts), (cell, budget)
+
+
+def test_search_forbidding_u11_finds_nothing():
+    # every matroid of rank r >= 1 has a U(1, 1)-minor: each first edge is
+    # a daisy, no family survives and the catalog offers no seed
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            rep = search_ex(n, r, 1, 1)
+            assert (rep.max_bases, rep.witnesses, rep.exhaustive) == (0, (), True)
+            assert rep == search_ex_oracle(n, r, 1, 1)
+
+
+def test_witness_masks_match_set_refuter():
+    # for every exchange witness of a random family of 3-subsets of [6],
+    # the search's edge-index re-check agrees with the set-based refuter on
+    # every other family drawn
+    rng = random.Random(6_3)
+    edges = [mask_of(c) for c in combinations(range(6), 3)]
+    index = {e: i for i, e in enumerate(edges)}
+    fams = [rng.getrandbits(len(edges)) for _ in range(300)]
+    fams += [fam | rng.getrandbits(len(edges)) for fam in fams[:100]]
+    sets = [{edges[i] for i in bit_indices(fam)} for fam in fams]
+    witnesses = {exchange_violation(6, members) for members in sets if members}
+    witnesses.discard(None)
+    assert len(witnesses) > 50
+    refuted = 0
+    for w in witnesses:
+        need, repair = extremal._witness_masks(w, index)
+        for fam, members in zip(fams, sets):
+            refutes = fam & need == need and not fam & repair
+            assert refutes == exchange_witness_refutes(members, w), (w, fam)
+            refuted += refutes
+    assert refuted > 1_000
 
 
 def test_best_known_construction_examples():

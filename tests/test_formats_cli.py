@@ -404,6 +404,15 @@ def test_cli_zero_node_budget_is_partial():
     assert "nodes 0 " in out and "exhaustive no" in out
 
 
+@pytest.mark.parametrize("r, forbid", [("2", "1,1"), ("2", "2,2"), ("3", "3,3")])
+def test_cli_forbid_s_equals_t_finds_nothing(r, forbid):
+    # a matroid of rank r >= s has a U(s, s)-minor, so no family survives;
+    # with s = 1 the catalog used to fail building a class of size 0
+    code, out = run_cli(["search", "--n", "6", "--r", r, "--forbid", forbid])
+    assert code == 0
+    assert out.startswith("max_bases 0\nwitnesses 0\n") and out.endswith("exhaustive yes\n")
+
+
 def test_cli_blowup_pipeline():
     _, fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])
     code, out = run_cli(

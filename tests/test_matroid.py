@@ -22,7 +22,6 @@ from turan_matroids.matroid import (
     direct_sum,
     dual,
     exchange_violation,
-    exchange_witness_refutes,
     is_coloop,
     is_simple,
     loops_mask,
@@ -36,7 +35,12 @@ from turan_matroids.matroid import (
 from turan_matroids.geometry import projective_geometry, projective_points, two_disjoint_lines, uniform
 
 from conftest import linear_matroids, oracle_matroids
-from oracles import closure_oracle, exchange_violation_oracle, restrict_oracle
+from oracles import (
+    closure_oracle,
+    exchange_violation_oracle,
+    exchange_witness_refutes,
+    restrict_oracle,
+)
 
 
 def test_exchange_accepts_triangle():

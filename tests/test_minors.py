@@ -100,48 +100,62 @@ def test_daisy_witness_is_valid():
 
 
 def test_daisy_completed_by_edge_incremental():
-    K = complete_uniform(4, 3)
     links = StemLinks(4, 3, 3, 4)
-    for e in K.edges:
-        links.push(e)
-    assert daisy_completed_by_edge(links, K.edges[-1])
-    links.pop(K.edges[-1])
-    assert not daisy_completed_by_edge(links, K.edges[0])
+    for i in range(4):
+        links.push(i)
+    assert daisy_completed_by_edge(links, 3)
+    links.pop(3)
+    assert not daisy_completed_by_edge(links, 0)
 
 
 @pytest.mark.parametrize(
-    "k,s,t", [(2, 2, 3), (3, 3, 4), (3, 2, 4), (3, 2, 5), (3, 1, 3), (4, 2, 4)]
+    "k,s,t",
+    [
+        (2, 2, 3),
+        (3, 3, 4),
+        (3, 2, 4),
+        (3, 2, 5),
+        (3, 1, 3),
+        (4, 2, 4),
+        (3, 3, 3),
+        (3, 1, 4),
+        (4, 4, 5),
+    ],
 )
 def test_stem_links_match_oracle(k, s, t):
     # stems of k - s = 0, 1 and 2 elements; the family tends to grow for
     # 50 steps, then to shrink for 50, twice, and pops come in random
     # order, not only last-in first-out as in the search
     n = k + 3
-    edges = [mask_of(c) for c in combinations(range(n), k)]
-    rng = random.Random(1000 * k + 100 * s + t)
     links = StemLinks(n, k, s, t)
+    assert links.edges == [mask_of(c) for c in combinations(range(n), k)]
+    rng = random.Random(1000 * k + 100 * s + t)
     family = set()
     answers = []
     for step in range(200):
-        absent = [e for e in edges if e not in family]
+        absent = [i for i in range(len(links.edges)) if i not in family]
         grow = 0.7 if step % 100 < 50 else 0.3
         if absent and (not family or rng.random() < grow):
-            e = rng.choice(absent)
-            family.add(e)
-            links.push(e)
+            i = rng.choice(absent)
+            family.add(i)
+            links.push(i)
         else:
-            e = rng.choice(sorted(family))
-            family.remove(e)
-            links.pop(e)
-        for f in family:
-            got = daisy_completed_by_edge(links, f)
-            assert got == daisy_completed_by_edge_oracle(family, k, s, t, f)
+            i = rng.choice(sorted(family))
+            family.remove(i)
+            links.pop(i)
+        edges = {links.edges[i] for i in family}
+        for key, slot in links.slot_of.items():
+            stem_face = key >> n | key & ((1 << n) - 1)
+            expected = mask_of(u for u in range(n) if stem_face | 1 << u in edges)
+            assert links.masks[slot] == expected
+        for i in family:
+            got = daisy_completed_by_edge(links, i)
+            assert got == daisy_completed_by_edge_oracle(edges, k, s, t, links.edges[i])
             answers.append(got)
-    assert True in answers and False in answers
-    for e in sorted(family):
-        links.pop(e)
-    fresh = StemLinks(n, k, s, t)
-    assert (links.link, links.degree) == (fresh.link, fresh.degree)
+    assert True in answers and (False in answers or s == t)
+    for i in sorted(family):
+        links.pop(i)
+    assert not any(links.masks)
 
 
 def test_has_uniform_minor_examples():
