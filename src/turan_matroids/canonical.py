@@ -2,17 +2,41 @@
 
 The canonical form is the lexicographically smallest sorted tuple of
 relabeled basis masks over all n! relabelings.  Labels are assigned from
-the highest bit position downward; zero-filling the unassigned low bits of
-a partial relabeling gives a pointwise lower bound on every completion's
-key, so a branch whose zero-filled key already reaches the incumbent can
-be pruned.  Children are visited in ascending bound order.  Ties among
-children are partial symmetries and must all be explored, which is why
-callers should deduplicate isomorphic inputs first (see are_isomorphic);
-for the mildly symmetric witnesses handled here (n <= 10) the search is
-quick.
+the highest bit position downward.  A member with k unassigned elements
+ends with k distinct low labels, which sum to at least 2^k - 1, so adding
+that to each member's partial mask gives a pointwise lower bound on every
+completion's key, and a branch whose sorted bound already reaches the
+incumbent can be pruned.  Children are visited in ascending bound order.
+
+Twins are pruned.  Call e and f twins when the transposition (e f) maps
+the family onto itself; this is an equivalence relation, since
+(e g) = (e f)(f g)(e f).  If e and f are twins and both unassigned, the
+transposition fixes every assigned element, so it maps the completions
+that give e the current label one-to-one onto those that give it to f,
+and both sets of completions yield the same keys.  Each level therefore
+expands only the first unassigned member of each twin class.  Other ties
+among children are partial symmetries and are still all explored, which
+is why callers should deduplicate isomorphic inputs first (see
+are_isomorphic).
 """
 
 from __future__ import annotations
+
+
+def _twin_classes(n: int, bases) -> list:
+    """For each element, the least element of its twin class: the elements
+    f for which swapping e and f maps ``bases`` onto itself."""
+    family = set(bases)
+    twin_of = list(range(n))
+    for f in range(n):
+        for e in range(f):
+            if twin_of[e] != e:
+                continue  # test f against class representatives only
+            pair = 1 << e | 1 << f
+            if all(b ^ pair in family for b in family if (b & pair).bit_count() == 1):
+                twin_of[f] = e
+                break
+    return twin_of
 
 
 def canonical_bases(n: int, bases) -> tuple:
@@ -21,6 +45,7 @@ def canonical_bases(n: int, bases) -> tuple:
     if n <= 1 or (len(bases) == 1 and bases[0].bit_count() in (0, n)):
         return tuple(bases)
 
+    twin_of = _twin_classes(n, bases)
     best = [tuple(bases)]  # identity labeling as the starting incumbent
     highs0 = [0] * len(bases)
 
@@ -31,10 +56,18 @@ def canonical_bases(n: int, bases) -> tuple:
                 best[0] = key
             return
         bit = 1 << level
+        unassigned = sum(1 << x for x in remaining)
         scored = []
+        classes = set()
         for e in remaining:
+            if twin_of[e] in classes:
+                continue  # an earlier twin's subtree yields the same keys
+            classes.add(twin_of[e])
             child = [h | bit if b >> e & 1 else h for h, b in zip(highs, bases)]
-            scored.append((tuple(sorted(child)), e, child))
+            rest = unassigned ^ 1 << e
+            bound = tuple(sorted(h + (1 << (b & rest).bit_count()) - 1
+                                 for h, b in zip(child, bases)))
+            scored.append((bound, e, child))
         scored.sort(key=lambda item: (item[0], item[1]))
         for bound, e, child in scored:
             if bound >= best[0]:

@@ -312,8 +312,16 @@ def _report_payload(report: SearchReport) -> dict:
     return payload
 
 
+def _witness_dir(directory: str) -> None:
+    """Create the ``--emit-witnesses`` directory before a search runs, so a
+    bad path fails at once and names the flag."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise MatroidError(f"--emit-witnesses {directory}: {exc.strerror}") from exc
+
+
 def _emit_witnesses(report: SearchReport, directory: str):
-    os.makedirs(directory, exist_ok=True)
     for i, w in enumerate(report.witnesses):
         path = os.path.join(directory, f"witness_{i:03d}.matroid")
         with open(path, "w", encoding="utf-8") as fh:
@@ -327,6 +335,8 @@ def cmd_search(args) -> int:
         witness_cap=args.witness_cap,
         rank3_point_cap=args.rank3_point_cap,
     )
+    if args.emit_witnesses:
+        _witness_dir(args.emit_witnesses)
     if args.backend == "rank3":
         if args.r != 3:
             raise MatroidError("rank3 backend requires --r 3")
@@ -348,6 +358,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_binary_search(args) -> int:
+    if args.emit_witnesses:
+        _witness_dir(args.emit_witnesses)
     report = search_binary_max_bases(args.r, args.size, witness_cap=args.witness_cap)
     if args.emit_witnesses:
         _emit_witnesses(report, args.emit_witnesses)

@@ -406,6 +406,57 @@ def _has_arc(through, t: int) -> bool:
     return grow(0, 0, (1 << len(through)) - 1)
 
 
+def _e3(comps: np.ndarray, points) -> np.ndarray:
+    """Per row of ``comps``, the third elementary symmetric polynomial of
+    its entries at ``points``: the number of ways to pick one element from
+    each of three of those points' parallel classes."""
+    e1 = e2 = e3 = 0
+    for i in points:
+        col = comps[:, i]
+        e3 = e3 + e2 * col
+        e2 = e2 + e1 * col
+        e1 = e1 + col
+    return e3
+
+
+class _BlowupCounts:
+    """Basis counts of the parallel blow-ups to n elements of simple rank-3
+    matroids on p points, one per composition mu of n into p parts (the
+    rows of ``comps``, in lexicographic order).
+
+    The blow-up of a line family by mu has e3(mu) - sum over its long lines
+    L of e3(mu|L) bases: a basis picks one copy from each of three points,
+    and two long lines share at most one point, so each collinear triple
+    lies on exactly one long line.  Each line's vector of e3(mu|L) is
+    computed on first use.
+    """
+
+    def __init__(self, n: int, p: int):
+        # cut points 0 < c_1 < ... < c_(p-1) < n in lexicographic order give
+        # the parts c_(i+1) - c_i in lexicographic order
+        cuts = np.array(list(combinations(range(1, n), p - 1)), np.int64).reshape(-1, p - 1)
+        rows = len(cuts)
+        ends = np.hstack([np.zeros((rows, 1), np.int64), cuts, np.full((rows, 1), n, np.int64)])
+        self.comps = np.diff(ends, axis=1)
+        self.total = _e3(self.comps, range(p))
+        self.line_e3 = {}
+
+    def values(self, family) -> np.ndarray:
+        """The basis count of each composition's blow-up of ``family``."""
+        vals = self.total
+        for ln in family:
+            if ln not in self.line_e3:
+                self.line_e3[ln] = _e3(self.comps, bit_indices(ln))
+            vals = vals - self.line_e3[ln]
+        return vals
+
+    def best(self, family):
+        """The largest count and the first composition attaining it."""
+        vals = self.values(family)
+        top = int(vals.argmax())
+        return int(vals[top]), self.comps[top].tolist()
+
+
 def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -> SearchReport:
     """Rank-3 geometric backend for the extremal search.
 
@@ -425,8 +476,16 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
       t points with no three on a long line (``_has_arc``).
 
     The walk keeps the point pairs its lines use (two lines are compatible
-    when they share no pair) and the per-point state of ``_push_line``;
-    only free nodes build their matroid.
+    when they share no pair) and the per-point state of ``_push_line``.
+
+    A free node is scored in closed form: its blow-up with multiplicities
+    mu has e3(mu) - sum over long lines L of e3(mu|L) bases, e3 being the
+    third elementary symmetric polynomial (``_BlowupCounts``).  The
+    compositions of n into p parts and their e3 are computed once per
+    point count, on its first free node, and each line's vector of
+    e3(mu|L) on first use; the first composition in lexicographic order
+    attaining the maximum is the node's multiplicity vector.  Only a node
+    that joins the champions builds its matroid.
 
     Exhaustive only while opts.rank3_point_cap reaches n; line families on
     more simple points than the cap are not visited and the report is
@@ -450,32 +509,6 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     exhausted = False
     p_cap = min(n, opts.rank3_point_cap)
 
-    def blowup_optimum(simple: Matroid):
-        """Exact max of the blow-up basis count over multiplicities >= 1
-        summing to n, with one optimal vector."""
-        p = simple.n
-        base_elems = [list(bit_indices(b)) for b in simple.bases]
-        best_val, best_mult = -1, None
-
-        def rec(i, left, mult):
-            nonlocal best_val, best_mult
-            if i == p - 1:
-                full = mult + [left]
-                val = 0
-                for elems in base_elems:
-                    prod = 1
-                    for e in elems:
-                        prod *= full[e]
-                    val += prod
-                if val > best_val:
-                    best_val, best_mult = val, list(full)
-                return
-            for m_i in range(1, left - (p - 1 - i) + 1):
-                rec(i + 1, left - m_i, mult + [m_i])
-
-        rec(0, n, [])
-        return best_val, best_mult
-
     for p in range(3, p_cap + 1):
         if exhausted:
             break
@@ -492,13 +525,14 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
         full = (1 << p) - 1
         through = [[] for _ in range(p)]
         counts = [p - 1] * p
+        blowups = None  # built on the first free node on p points
 
         def process(family, parent_free):
             """(alive, free): alive=False prunes extensions (rank collapse
             is permanent under adding lines).  Adding a line removes arcs
             and lowers the line counts of its points, so freeness passes
             from parent to child for both s."""
-            nonlocal nodes, best, champions, pruned_forbidden, exhausted
+            nonlocal nodes, best, champions, pruned_forbidden, exhausted, blowups
             if nodes >= budget:
                 exhausted = True
                 return False, False
@@ -514,13 +548,14 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
             if not free:
                 pruned_forbidden += 1
                 return True, False
-            simple = rank3_from_lines(p, family)
-            val, mult = blowup_optimum(simple)
+            if blowups is None:
+                blowups = _BlowupCounts(n, p)
+            val, mult = blowups.best(family)
             if val > best:
                 best = val
                 champions = []
             if val == best and len(champions) < opts.witness_cap:
-                champions.append(parallel_blowup(simple, mult).bases)
+                champions.append(parallel_blowup(rank3_from_lines(p, family), mult).bases)
             return True, True
 
         def dfs(start, family, used, parent_free):

@@ -420,6 +420,37 @@ def are_isomorphic_oracle(n: int, bases_a, bases_b) -> bool:
     return assign(0)
 
 
+def canonical_bases_oracle(n: int, bases) -> tuple:
+    """``canonical.canonical_bases`` without twin pruning: every child of
+    every level is expanded unless its bound reaches the incumbent."""
+    bases = sorted(set(bases))
+    if n <= 1 or (len(bases) == 1 and bases[0].bit_count() in (0, n)):
+        return tuple(bases)
+
+    best = [tuple(bases)]  # identity labeling as the starting incumbent
+    highs0 = [0] * len(bases)
+
+    def dfs(level, highs, remaining):
+        if level < 0:
+            key = tuple(sorted(highs))
+            if key < best[0]:
+                best[0] = key
+            return
+        bit = 1 << level
+        scored = []
+        for e in remaining:
+            child = [h | bit if b >> e & 1 else h for h, b in zip(highs, bases)]
+            scored.append((tuple(sorted(child)), e, child))
+        scored.sort(key=lambda item: (item[0], item[1]))
+        for bound, e, child in scored:
+            if bound >= best[0]:
+                break  # completions are pointwise >= bound, hence >= best
+            dfs(level - 1, child, [x for x in remaining if x != e])
+
+    dfs(n - 1, highs0, list(range(n)))
+    return best[0]
+
+
 def search_ex_rank3_oracle(n: int, s: int, t: int, opts: SearchOptions | None = None) -> SearchReport:
     """``extremal.search_ex_rank3`` as it was before it read minor-freeness
     off the line family: every node builds its simple matroid with

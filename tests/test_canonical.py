@@ -14,9 +14,10 @@ from turan_matroids.geometry import (
     two_disjoint_lines,
     uniform,
 )
+from turan_matroids.matroid import parallel_blowup
 
 from conftest import linear_matroids, oracle_matroids
-from oracles import are_isomorphic_oracle
+from oracles import are_isomorphic_oracle, canonical_bases_oracle
 
 
 def relabeled(n, bases, rng):
@@ -126,6 +127,53 @@ def test_are_isomorphic_matches_oracle():
     crossing = rank3_from_lines(6, [0b000111, 0b011100])
     assert not are_isomorphic(6, disjoint.bases, crossing.bases)
     assert not are_isomorphic_oracle(6, disjoint.bases, crossing.bases)
+
+
+def test_canonical_matches_oracle():
+    rng = random.Random(16180)
+
+    def agree(n, family):
+        assert canonical_bases(n, family) == canonical_bases_oracle(n, family), (n, family)
+
+    # the oracle needs about 100 s on the 32 entries with n = 9
+    for M in oracle_matroids():
+        if M.n <= 8:
+            agree(M.n, M.bases)
+        if M.n <= 7:
+            agree(M.n, relabeled(M.n, M.bases, rng))
+
+    # uniform families with equal degree sequences, matroids or not
+    for _ in range(60):
+        n = rng.randint(4, 7)
+        r = rng.randint(2, min(3, n - 2))
+        all_r = [mask_of(c) for c in combinations(range(n), r)]
+        fam = rng.sample(all_r, rng.randint(2, len(all_r) - 1))
+        agree(n, fam)
+        agree(n, relabeled(n, swapped(fam, rng, rng.randint(0, 3)), rng))
+
+    # parallel copies of one point are twins
+    blowups = (
+        (uniform(2, 3), [2, 2, 3]),
+        (uniform(2, 4), [1, 1, 3, 3]),
+        (uniform(3, 4), [1, 2, 2, 3]),
+        (rank3_from_lines(5, [0b00111]), [2, 1, 2, 1, 1]),
+        (rank3_from_lines(6, [0b000111, 0b011100]), [1, 1, 2, 1, 1, 2]),
+        (two_disjoint_lines(2, 3), [1, 2, 1, 1, 2]),
+        (projective_geometry(3, 2), [2, 1, 1, 1, 1, 1, 1]),
+    )
+    for M, mult in blowups:
+        B = parallel_blowup(M, mult)
+        agree(B.n, B.bases)
+        if B.n <= 7:
+            agree(B.n, relabeled(B.n, B.bases, rng))
+
+
+def test_canonical_uniform_is_immediate():
+    # every pair of elements of U(r, n) is a twin pair, so each level has one
+    # child; the search without twin pruning takes minutes on U(5, 10)
+    for r, n in ((4, 8), (5, 10)):
+        bases = uniform(r, n).bases
+        assert canonical_bases(n, bases) == tuple(sorted(bases))
 
 
 def test_dedupe_isomorphic_collapses_copies(rng):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from turan_matroids import lagrangian
+from turan_matroids import cli, lagrangian
 from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bounds import prime_band
 from turan_matroids.cli import main
@@ -241,6 +241,26 @@ def test_cli_emit_witnesses(tmp_path):
     assert files
     w = parse_matroid(files[0].read_text())
     assert w.basis_count == 4
+
+
+@pytest.mark.parametrize("argv, search", [
+    (["search", "--n", "4", "--r", "2", "--forbid", "2,3"], "search_ex"),
+    (["search", "--n", "4", "--r", "3", "--forbid", "3,4", "--backend", "rank3"],
+     "search_ex_rank3"),
+    (["binary-search", "--r", "3", "--size", "4"], "search_binary_max_bases"),
+])
+def test_cli_bad_witness_dir_exits_1_before_searching(argv, search, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched before checking --emit-witnesses")
+
+    monkeypatch.setattr(cli, search, refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for path in (taken, taken / "below"):
+        code, out = run_cli(argv + ["--emit-witnesses", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--emit-witnesses" in err
 
 
 def test_cli_binary_search():

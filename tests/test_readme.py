@@ -28,7 +28,7 @@ def test_readme_cli_examples():
     examples = re.findall(r"^(turan-matroids .*?)\s+# (.+)$", README, re.MULTILINE)
     assert [expected for _, expected in examples] == [
         "28", "absent", "two-lines", "4", "224", "7", "max_bases 18",
-        "max_bases 28", "max_bases 16", "16", "max_bases 312", "312", "max_bases 616", "616",
+        "max_bases 28", "max_bases 30", "max_bases 16", "16", "max_bases 312", "312", "max_bases 616", "616",
         "value 0.106508875740", "value 0.120937263794", "value 0.062500000000",
         "value 0.081632653061",
     ]
