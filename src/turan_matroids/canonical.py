@@ -24,8 +24,9 @@ from __future__ import annotations
 
 
 def _twin_classes(n: int, bases) -> list:
-    """For each element, the least element of its twin class: the elements
-    f for which swapping e and f maps ``bases`` onto itself."""
+    """For each element e, the least element of its twin class, the class
+    of the elements f for which swapping e and f maps ``bases`` onto
+    itself."""
     family = set(bases)
     twin_of = list(range(n))
     for f in range(n):

@@ -433,10 +433,11 @@ class _BlowupCounts:
 
     def __init__(self, n: int, p: int):
         # cut points 0 < c_1 < ... < c_(p-1) < n in lexicographic order give
-        # the parts c_(i+1) - c_i in lexicographic order
-        cuts = np.array(list(combinations(range(1, n), p - 1)), np.int64).reshape(-1, p - 1)
+        # the parts c_(i+1) - c_i in lexicographic order; every count is at
+        # most C(n, 3), so int32 holds it for any ground set
+        cuts = np.array(list(combinations(range(1, n), p - 1)), np.int32).reshape(-1, p - 1)
         rows = len(cuts)
-        ends = np.hstack([np.zeros((rows, 1), np.int64), cuts, np.full((rows, 1), n, np.int64)])
+        ends = np.hstack([np.zeros((rows, 1), np.int32), cuts, np.full((rows, 1), n, np.int32)])
         self.comps = np.diff(ends, axis=1)
         self.total = _e3(self.comps, range(p))
         self.line_e3 = {}

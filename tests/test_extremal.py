@@ -127,28 +127,6 @@ def test_search_options_reject_bad_budgets():
     assert SearchOptions(max_nodes=0, rank3_point_cap=3).max_nodes == 0
 
 
-def test_rank3_blowup_value_matches_bases():
-    # e3(mu) - sum over long lines L of e3(mu|L), the search's score, is the
-    # basis count of the blow-up of the line family by mu, and the search
-    # keeps the first optimal mu in lexicographic order, as a strict scan does
-    for p in range(3, 7):
-        counts = [extremal._BlowupCounts(n, p) for n in range(p, 9)]
-        for n, by_mult in zip(range(p, 9), counts):
-            rows = [tuple(row) for row in by_mult.comps.tolist()]
-            assert rows == sorted(rows) and len(set(rows)) == comb(n - 1, p - 1)
-            assert all(min(row) >= 1 and sum(row) == n for row in rows)
-        for family in _line_families(p):
-            simple = rank3_from_lines(p, family)
-            for by_mult in counts:
-                values = by_mult.values(family)
-                top = (-1, None)
-                for mult, value in zip(by_mult.comps.tolist(), values.tolist()):
-                    assert value == parallel_blowup(simple, mult).basis_count, (family, mult)
-                    if value > top[0]:
-                        top = (value, mult)
-                assert by_mult.best(family) == top
-
-
 # (max_bases, nodes_explored, pruned_daisy, pruned_bound) of exhaustive
 # searches whose daisy stems have 1, 0, 2, 0 and 0 elements
 SEARCH_COUNTERS = {
@@ -339,6 +317,28 @@ def test_rank3_line_state_detects_minors():
             for ln in reversed(family):
                 extremal._pop_line(through, counts, ln)
             assert through == [[] for _ in range(p)] and counts == [p - 1] * p
+
+
+def test_rank3_blowup_value_matches_bases():
+    # e3(mu) - sum over long lines L of e3(mu|L), the search's score, is the
+    # basis count of the blow-up of the line family by mu, and the search
+    # keeps the first optimal mu in lexicographic order, as a strict scan does
+    for p in range(3, 7):
+        tables = [extremal._BlowupCounts(n, p) for n in range(p, 9)]
+        for n, by_mult in zip(range(p, 9), tables):
+            rows = [tuple(row) for row in by_mult.comps.tolist()]
+            assert rows == sorted(rows) and len(set(rows)) == comb(n - 1, p - 1)
+            assert all(min(row) >= 1 and sum(row) == n for row in rows)
+        for family in _line_families(p):
+            simple = rank3_from_lines(p, family)
+            for by_mult in tables:
+                values = by_mult.values(family)
+                top = (-1, None)
+                for mult, value in zip(by_mult.comps.tolist(), values.tolist()):
+                    assert value == parallel_blowup(simple, mult).basis_count, (family, mult)
+                    if value > top[0]:
+                        top = (value, mult)
+                assert by_mult.best(family) == top
 
 
 # (max_bases, nodes_explored, pruned_daisy, pruned_bound) of the benchmark's
