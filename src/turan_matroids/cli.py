@@ -106,12 +106,13 @@ def _n_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _q_list(text: str) -> list[int]:
-    """The orders of a ``--q-list q1,q2,...`` flag; empty items are skipped."""
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-list flag such as ``--q-list q1,q2,...``;
+    empty items are skipped."""
     try:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise MatroidError(f"--q-list expects comma-separated integers, got {text!r}") from None
+        raise MatroidError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _frac_str(x: Fraction) -> str:
@@ -138,11 +139,11 @@ def cmd_construct(args) -> int:
     elif args.kind == "lines":
         M = two_disjoint_lines(args.a, args.b)
     elif args.kind == "multiline":
-        sizes = [int(x) for x in args.lines.split(",") if x]
+        sizes = _int_list(args.lines, "--lines")
         M = rank3_multiline(sizes, args.parallel_class, simple_lines=not args.allow_short)
     elif args.kind == "blowup":
         base = _read_matroid(args)
-        mult = [int(x) for x in args.mult.split(",") if x]
+        mult = _int_list(args.mult, "--mult")
         M = parallel_blowup(base, mult)
     _emit_matroid(M, args, comments=comments)
     return 0
@@ -267,7 +268,7 @@ def cmd_tables(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     if args.kind == "density-u2":
         writer.writerow(["r", "q", "density", "decimal"])
-        qs = _q_list(args.q_list)
+        qs = _int_list(args.q_list, "--q-list")
         for r in range(2, args.max_r + 1):
             for q in qs:
                 d = bounds_mod.u2_density(r, q)

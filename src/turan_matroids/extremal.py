@@ -47,6 +47,7 @@ from .matroid import (
     direct_sum,
     exchange_violation,
     parallel_blowup,
+    restrict,
     truncate,
     validate_exchange,
 )
@@ -600,24 +601,18 @@ def search_binary_max_bases(r: int, size: int, witness_cap: int = 16) -> SearchR
     if witness_cap < 0:
         raise MatroidError(f"witness cap {witness_cap} is negative")
     pg = projective_geometry(r, 2)
-    basis_set = set(pg.bases)
     bases = np.array(pg.bases, dtype=np.int64)
-    subsets = list(combinations(range(pg.n), size))
+    subsets = combinations(range(pg.n), size)
     subset_masks = np.array([mask_of(c) for c in subsets], dtype=np.int64)
 
     counts = ((subset_masks[:, None] & bases[None, :]) == bases[None, :]).sum(axis=1)
     best = int(counts.max())
     scan_cap = max(64, 8 * witness_cap)  # cap applies to canonical forms, so overscan
-    champion_families = []
-    for idx in np.flatnonzero(counts == best)[:scan_cap]:
-        subset = subsets[idx]
-        champion_families.append(
-            tuple(
-                mask_of(local)
-                for local in combinations(range(size), r)
-                if mask_of(subset[i] for i in local) in basis_set
-            )
-        )
+    # a champion contains a basis, so restricting to it keeps rank r
+    champion_families = [
+        restrict(pg, int(subset_masks[idx])).bases
+        for idx in np.flatnonzero(counts == best)[:scan_cap]
+    ]
 
     bb_attains = None
     for c in range(1, r):
@@ -632,7 +627,7 @@ def search_binary_max_bases(r: int, size: int, witness_cap: int = 16) -> SearchR
         t=4,
         max_bases=best,
         witnesses=_witnesses(size, champion_families, witness_cap),
-        nodes_explored=len(subsets),
+        nodes_explored=len(subset_masks),
         pruned_daisy=0,
         pruned_bound=0,
         exhaustive=True,

@@ -8,12 +8,13 @@ complete s-graph on t vertices.
 ``StemLinks`` keeps every stem's link, as one vertex mask per stem and
 (s-1)-set, in a family of edges that changes one edge at a time, and
 ``daisy_completed_by_edge`` asks it whether the last edge added completed
-a daisy; the extremal search uses the pair.
+a daisy; the extremal search uses the pair.  ``has_daisy`` builds the same
+masks for one stem at a time.  Both detectors grow petal sets with one
+search, ``_petals_extend``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -73,42 +74,19 @@ def daisy(r: int, s: int, t: int) -> UniformHypergraph:
     return suspension(complete_uniform(t, s), r)
 
 
-def _complete_extension(link, chosen, faces, candidates, need, s):
-    """Lexicographically least set made of the set ``chosen`` plus
-    ``need`` members of ``candidates`` (ascending) whose s-subsets are all
-    in ``link``, as a mask; None if there is none.  ``chosen`` is a mask
-    whose s-subsets are all in ``link``, and ``faces`` lists its
-    (s-1)-subsets as masks."""
-    if need == 0:
-        return chosen
-    for idx in range(len(candidates) - need + 1):
-        bit = 1 << candidates[idx]
-        if link.issuperset([f | bit for f in faces]):
-            grown = chosen | bit
-            if need == 1:
-                return grown
-            got = _complete_extension(
-                link,
-                grown,
-                tuple(subsets_of_size(grown, s - 1)),
-                candidates[idx + 1 :],
-                need - 1,
-                s,
-            )
-            if got is not None:
-                return got
-    return None
-
-
 def has_daisy(H: UniformHypergraph, s: int, t: int):
     """Does H contain the daisy with petal parameters (s, t)?
 
-    Returns (found, (stem_mask, petal_vertex_mask) or None).  The witness
-    is lexicographically least: smallest stem first, then smallest t-set.
+    Returns (found, (stem_mask, petal_vertex_mask) or None), with the
+    least stem and then the least t-set T* by ascending element lists.
     One pass over the edges builds the link of every (k-s)-subset (stem)
-    of an edge; the petal set is grown over the link of each stem with
-    C(t, s) or more members, with backtracking, using only vertices of
-    degree at least C(t-1, s-1) in the link.
+    of an edge.  A stem with C(t, s) or more link members gets the vertex
+    masks of ``StemLinks``, keyed by the (s-1)-set alone, and its members
+    P are extended by ``_petals_extend`` over the vertices above max P,
+    in lexicographic order.  T* is a member P0 and then vertices above
+    max P0, and a t-set that began with an earlier member would precede
+    T*; so P0 is the first member that extends, and its least extension,
+    a mask, is T*.
     """
     if not 1 <= s <= H.k or t < s:
         raise MatroidError("need 1 <= s <= k and t >= s")
@@ -116,15 +94,27 @@ def has_daisy(H: UniformHypergraph, s: int, t: int):
     for e in H.edges:
         for stem in subsets_of_size(e, H.k - s):
             links.setdefault(stem, []).append(e ^ stem)
-    min_edges, min_degree = comb(t, s), comb(t - 1, s - 1)
+    min_edges = comb(t, s)
     for stem, link in sorted(links.items()):
         if len(link) < min_edges:
             continue
-        degree = Counter(u for e in link for u in bit_indices(e))
-        candidates = sorted(u for u, c in degree.items() if c >= min_degree)
-        got = _complete_extension(set(link), 0, tuple(subsets_of_size(0, s - 1)), candidates, t, s)
-        if got is not None:
-            return True, (stem, got)
+        # the (s-1)-subsets of a petal are the petal less one vertex u
+        slot_of, members = {}, []
+        for petal in link:
+            elems = tuple(bit_indices(petal))
+            slots = [slot_of.setdefault(petal ^ 1 << u, len(slot_of)) for u in elems]
+            members.append((elems, petal, slots))
+        masks = [0] * len(slot_of)
+        for elems, _, slots in members:
+            for u, slot in zip(elems, slots):
+                masks[slot] |= 1 << u
+        for _, petal, slots in sorted(members):
+            cand = -(1 << petal.bit_length())
+            for slot in slots:
+                cand &= masks[slot]
+            got = _petals_extend(masks, slot_of, s, 0, petal, cand, t - s)
+            if got:
+                return True, (stem, got)
     return False, None
 
 
@@ -177,29 +167,39 @@ class StemLinks:
             masks[slot] ^= bit
 
 
-def _petals_extend(links: StemLinks, base: int, chosen: int, cand: int, need: int) -> bool:
-    """Do ``need`` >= 2 members of ``cand`` extend the petal set
-    ``chosen`` of the stem ``base >> n``, for s >= 2?
+def _petals_extend(masks, slot_of, s: int, base: int, chosen: int, cand: int, need: int) -> int:
+    """The least petal set, as a mask, made of ``chosen`` and ``need``
+    members of ``cand``; 0 if there is none.
 
-    ``cand`` holds the vertices u outside the stem and ``chosen`` for which
-    every s-subset of ``chosen`` | {u} is in the stem's link.  Vertices are
-    added in increasing order; adding u keeps the later candidates that
-    lie in the mask of {u} | G for every (s-2)-subset G of ``chosen``, and
-    a branch stops when fewer candidates are left than vertices needed.
+    ``masks[slot_of[base | F]]`` is the vertex mask of the (s-1)-set F in
+    the stem's link, as in ``StemLinks``.  ``cand`` holds the vertices u
+    outside the stem and ``chosen`` for which every s-subset of ``chosen``
+    | {u} is in the link.  With ``need`` <= 1 or s = 1 the lowest ``need``
+    bits of ``cand`` complete it.  Otherwise vertices are added in
+    increasing order, depth first, so the first completion is the least;
+    adding u keeps the later candidates in the mask of {u} | G for every
+    (s-2)-subset G of ``chosen``.  Each (s-1)-subset of ``chosen`` | {u}
+    lies in an s-subset of it, so every slot looked up exists.
     """
-    masks, slot_of = links.masks, links.slot_of
-    faces = tuple(subsets_of_size(chosen, links.s - 2))
+    if need <= 1 or s == 1:
+        if cand.bit_count() < need:
+            return 0
+        for _ in range(need):
+            chosen |= cand & -cand
+            cand &= cand - 1
+        return chosen
+    faces = tuple(subsets_of_size(chosen, s - 2))
     while cand.bit_count() >= need:
         low = cand & -cand
         cand ^= low
         rest = cand
         for face in faces:
             rest &= masks[slot_of[base | face | low]]
-        if rest.bit_count() >= need - 1 and (
-            need == 2 or _petals_extend(links, base, chosen | low, rest, need - 1)
-        ):
-            return True
-    return False
+        if rest.bit_count() >= need - 1:
+            got = _petals_extend(masks, slot_of, s, base, chosen | low, rest, need - 1)
+            if got:
+                return got
+    return 0
 
 
 def daisy_completed_by_edge(links: StemLinks, i: int) -> bool:
@@ -213,14 +213,14 @@ def daisy_completed_by_edge(links: StemLinks, i: int) -> bool:
     the rest P of the edge and t - s vertices of the AND of the masks of
     P's (s-1)-subsets; for s = 1 any t - 1 of them will do.
     """
-    masks, s = links.masks, links.s
+    masks, slot_of, s = links.masks, links.slot_of, links.s
     need = links.t - s
     for base, petal, slots in links.stems[i]:
         cand = ~petal
         for slot in slots:
             cand &= masks[slot]
         if cand.bit_count() >= need and (
-            need <= 1 or s == 1 or _petals_extend(links, base, petal, cand, need)
+            need <= 1 or s == 1 or _petals_extend(masks, slot_of, s, base, petal, cand, need)
         ):
             return True
     return False

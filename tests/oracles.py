@@ -12,15 +12,14 @@ from math import comb, fsum
 import numpy as np
 
 from turan_matroids.bitsets import bit_indices, mask_of, subsets_of_size
+from turan_matroids.canonical import dedupe_isomorphic
 from turan_matroids.extremal import (
     SPLIT_DEPTH,
     SearchOptions,
     SearchReport,
-    _witnesses,
     best_known_construction,
 )
 from turan_matroids.geometry import lines_of, rank3_from_lines, rank3_multiline, uniform
-from turan_matroids.hypergraphs import _complete_extension
 from turan_matroids.matroid import (
     MAX_GROUND_SET,
     Matroid,
@@ -275,6 +274,33 @@ def has_uniform_restriction_oracle(M: Matroid, s: int, t: int):
     return True, mask_of(got)
 
 
+def _complete_extension(link, chosen, faces, candidates, need, s):
+    """Lexicographically least set made of the set ``chosen`` plus
+    ``need`` members of ``candidates`` (ascending) whose s-subsets are all
+    in ``link``, as a mask; None if there is none.  ``chosen`` is a mask
+    whose s-subsets are all in ``link``, and ``faces`` lists its
+    (s-1)-subsets as masks."""
+    if need == 0:
+        return chosen
+    for idx in range(len(candidates) - need + 1):
+        bit = 1 << candidates[idx]
+        if link.issuperset([f | bit for f in faces]):
+            grown = chosen | bit
+            if need == 1:
+                return grown
+            got = _complete_extension(
+                link,
+                grown,
+                tuple(subsets_of_size(grown, s - 1)),
+                candidates[idx + 1 :],
+                need - 1,
+                s,
+            )
+            if got is not None:
+                return got
+    return None
+
+
 def _candidate_stems(H, d: int, min_edges: int):
     """d-subsets contained in at least min_edges edges, ascending."""
     if d == 0:
@@ -451,6 +477,15 @@ def canonical_bases_oracle(n: int, bases) -> tuple:
     return best[0]
 
 
+def witness_matroids(n: int, families, cap: int) -> tuple:
+    """The search reports' witnesses: matroids on [n] with the canonical
+    bases of at most ``cap`` pairwise non-isomorphic ``families``."""
+    return tuple(
+        Matroid.from_bases(n, key, validate=False)
+        for key in dedupe_isomorphic(n, families, cap=cap)
+    )
+
+
 def search_ex_rank3_oracle(n: int, s: int, t: int, opts: SearchOptions | None = None) -> SearchReport:
     """``extremal.search_ex_rank3`` as it was before it read minor-freeness
     off the line family: every node builds its simple matroid with
@@ -558,7 +593,7 @@ def search_ex_rank3_oracle(n: int, s: int, t: int, opts: SearchOptions | None = 
         dfs(0, [], False)
 
     exhaustive = (p_cap >= n) and not exhausted
-    witnesses = _witnesses(n, champions, opts.witness_cap)
+    witnesses = witness_matroids(n, champions, opts.witness_cap)
     return SearchReport(
         n, 3, s, t, best, witnesses, nodes, pruned_forbidden, 0, exhaustive
     )
@@ -745,7 +780,7 @@ def search_ex_oracle(n: int, r: int, s: int, t: int, opts: SearchOptions | None 
     m = len(edges)
     if s > r:
         # no rank-s minor exists; the unrestricted maximum is the uniform matroid
-        witnesses = _witnesses(n, [uniform(r, n).bases], opts.witness_cap)
+        witnesses = witness_matroids(n, [uniform(r, n).bases], opts.witness_cap)
         return SearchReport(n, r, s, t, m, witnesses, 1, 0, 0, True)
     seed = best_known_construction(n, r, s, t)
     threshold = seed.basis_count if seed is not None else 0
@@ -772,7 +807,7 @@ def search_ex_oracle(n: int, r: int, s: int, t: int, opts: SearchOptions | None 
         families.extend(fam for fam in res[1] if len(fam) == max_bases)
     if not families and seed is not None and seed.basis_count == max_bases:
         families = [seed.bases]
-    witnesses = _witnesses(n, families, opts.witness_cap)
+    witnesses = witness_matroids(n, families, opts.witness_cap)
     return SearchReport(
         n, r, s, t, max_bases, witnesses, nodes, pruned_daisy, pruned_bound, exhaustive
     )

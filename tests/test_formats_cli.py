@@ -402,6 +402,25 @@ def test_cli_malformed_q_list_exits_1(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, piped_from",
+    [
+        (["construct", "multiline", "--lines", "3,a,4"], None),
+        (["construct", "blowup", "--mult", "2,x"], ["construct", "pg", "--r", "3", "--q", "2"]),
+        (["tables", "--kind", "density-u2", "--q-list", "2,x"], None),
+    ],
+)
+def test_cli_malformed_comma_list_names_its_flag(argv, piped_from, capsys):
+    stdin_text = run_cli(piped_from)[1] if piped_from else ""
+    capsys.readouterr()
+    code, out = run_cli(argv, stdin_text=stdin_text)
+    flag, value = argv[-2:]
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: {flag} expects comma-separated integers, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv, err",
     [
         (["search", "--n", "4", "--r", "2", "--max-nodes", "-5"], "node budget -5 is negative"),

@@ -41,3 +41,17 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_no_unused_imports(name):
     assert unused_imports(SOURCES[name].read_text()) == []
+
+
+def test_oracles_import_no_private_names():
+    # an oracle that imports a fast path's private helper checks it against itself
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    private = [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "turan_matroids"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -266,3 +266,18 @@ def test_has_daisy_matches_oracle():
         for s in range(1, M.r + 1):
             for t in range(s, M.n + 1):
                 assert has_daisy(H, s, t) == has_daisy_oracle(H, s, t), (M, s, t)
+
+
+def test_has_daisy_matches_oracle_on_random_hypergraphs():
+    # has_daisy is public on any uniform hypergraph, not only basis families;
+    # densities near 0 give empty edge sets, and t runs one past v
+    rng = random.Random(20261019)
+    for _ in range(300):
+        v = rng.randint(1, 9)
+        k = rng.randint(1, min(5, v))
+        density = rng.random()
+        edges = [mask_of(c) for c in combinations(range(v), k) if rng.random() < density]
+        H = UniformHypergraph.from_edges(v, k, edges)
+        for s in range(1, k + 1):
+            for t in range(s, v + 2):
+                assert has_daisy(H, s, t) == has_daisy_oracle(H, s, t), (H, s, t)
