@@ -107,8 +107,7 @@ def _n_range(text: str) -> range:
 
 
 def _int_list(text: str, flag: str) -> list[int]:
-    """The integers of a comma-list flag such as ``--q-list q1,q2,...``;
-    empty items are skipped."""
+    """The integers of a comma-list flag ``flag``; empty items are skipped."""
     try:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
