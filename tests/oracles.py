@@ -6,7 +6,7 @@ so that the fast path can be checked against it.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, fsum
 
 import numpy as np
@@ -447,8 +447,8 @@ def are_isomorphic_oracle(n: int, bases_a, bases_b) -> bool:
 
 
 def canonical_bases_oracle(n: int, bases) -> tuple:
-    """``canonical.canonical_bases`` without twin pruning: every child of
-    every level is expanded unless its bound reaches the incumbent."""
+    """``canonical.canonical_bases`` without symmetry pruning: every child
+    of every level is expanded unless its bound reaches the incumbent."""
     bases = sorted(set(bases))
     if n <= 1 or (len(bases) == 1 and bases[0].bit_count() in (0, n)):
         return tuple(bases)
@@ -476,6 +476,16 @@ def canonical_bases_oracle(n: int, bases) -> tuple:
     dfs(n - 1, highs0, list(range(n)))
     return best[0]
 
+
+def automorphism_count_oracle(n: int, bases) -> int:
+    """The number of permutations of {0..n-1} that map ``bases`` onto
+    itself, by trying all n! of them."""
+    family = set(bases)
+    count = 0
+    for perm in permutations(range(n)):
+        if all(mask_of(perm[e] for e in bit_indices(b)) in family for b in family):
+            count += 1
+    return count
 
 def witness_matroids(n: int, families, cap: int) -> tuple:
     """The search reports' witnesses: matroids on [n] with the canonical

@@ -2,22 +2,30 @@
 
 import random
 from itertools import combinations, permutations
+from math import factorial, prod
 
 from hypothesis import given
 
 from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bitsets import mask_of
-from turan_matroids.canonical import are_isomorphic, canonical_bases, dedupe_isomorphic
+from turan_matroids.canonical import (
+    _automorphisms_mod_twins,
+    _twin_classes,
+    are_isomorphic,
+    canonical_bases,
+    dedupe_isomorphic,
+)
+from turan_matroids.extremal import search_binary_max_bases, search_ex_rank3
 from turan_matroids.geometry import (
     projective_geometry,
     rank3_from_lines,
     two_disjoint_lines,
     uniform,
 )
-from turan_matroids.matroid import parallel_blowup
+from turan_matroids.matroid import direct_sum, parallel_blowup
 
 from conftest import linear_matroids, oracle_matroids
-from oracles import are_isomorphic_oracle, canonical_bases_oracle
+from oracles import are_isomorphic_oracle, automorphism_count_oracle, canonical_bases_oracle
 
 
 def relabeled(n, bases, rng):
@@ -168,10 +176,66 @@ def test_canonical_matches_oracle():
             agree(B.n, relabeled(B.n, B.bases, rng))
 
 
+def automorphism_count(n, bases):
+    """|T| |R|: the twin group's order times the number of automorphisms
+    canonical_bases enumerates, one per coset of the twin group."""
+    twin_of = _twin_classes(n, bases)
+    twins = prod(factorial(twin_of.count(c)) for c in set(twin_of))
+    return twins * len(_automorphisms_mod_twins(n, bases, twin_of))
+
+
+def test_automorphisms_mod_twins_match_oracle():
+    families = {
+        "Fano": (projective_geometry(3, 2), 168),
+        "U(3,6)": (uniform(3, 6), 720),
+        "search_ex_rank3(7,3,5)": (search_ex_rank3(7, 3, 5).witnesses[0], 12),
+        "U(1,2)+U(2,5)": (direct_sum(uniform(1, 2), uniform(2, 5)), 240),
+        "binary r=4 size 8": (search_binary_max_bases(4, 8).witnesses[0], 1344),
+    }
+    for name, (M, order) in families.items():
+        assert automorphism_count(M.n, M.bases) == order, name
+        assert automorphism_count_oracle(M.n, M.bases) == order, name
+
+    # random linear matroids, and symmetric random families
+    rng = random.Random(2718)
+    for i in range(40):
+        if i % 2:
+            M = random_linear_matroid(rng, min_n=3, max_n=7)
+            n, fam = M.n, M.bases
+        else:
+            n, fam = symmetric_family(rng)
+        assert automorphism_count(n, fam) == automorphism_count_oracle(n, fam), (n, fam)
+
+
+def symmetric_family(rng):
+    """Two random r-subsets of [n], 5 <= n <= 7, closed under a random
+    permutation: most such families have automorphisms beyond twins."""
+    n = rng.randint(5, 7)
+    r = rng.randint(2, n - 2)
+    all_r = [mask_of(c) for c in combinations(range(n), r)]
+    fam = set(rng.sample(all_r, 2))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    while True:
+        images = {mask_of(perm[e] for e in range(n) if b >> e & 1) for b in fam}
+        if images <= fam:
+            return n, sorted(fam)
+        fam |= images
+
+
+def test_canonical_matches_oracle_on_symmetric_families():
+    rng = random.Random(5772)
+    for _ in range(40):
+        n, fam = symmetric_family(rng)
+        assert canonical_bases(n, fam) == canonical_bases_oracle(n, fam), (n, fam)
+        other = relabeled(n, fam, rng)
+        assert canonical_bases(n, other) == canonical_bases_oracle(n, fam), (n, fam)
+
+
 def test_canonical_uniform_is_immediate():
     # every pair of elements of U(r, n) is a twin pair, so each level has one
-    # child; the search without twin pruning takes minutes on U(5, 10)
-    for r, n in ((4, 8), (5, 10)):
+    # child; the search without symmetry pruning takes minutes on U(5, 10)
+    for r, n in ((4, 8), (5, 10), (3, 9)):
         bases = uniform(r, n).bases
         assert canonical_bases(n, bases) == tuple(sorted(bases))
 

@@ -414,6 +414,25 @@ BINARY_R4 = {
         163, 165, 166, 169, 172, 177, 178, 184, 195, 197, 198, 201, 202, 209, 212, 216,
         226, 228, 232, 240,
     )),
+    9: (88, 5005, None, (
+        15, 23, 27, 29, 30, 39, 43, 45, 54, 58, 60, 71, 75, 78, 85, 89, 92, 101, 102,
+        105, 106, 108, 116, 120, 135, 141, 142, 147, 153, 154, 163, 166, 169, 170, 172,
+        178, 184, 195, 197, 201, 202, 204, 209, 216, 225, 226, 228, 240, 267, 269, 270,
+        275, 277, 278, 291, 293, 294, 298, 300, 306, 308, 323, 325, 326, 329, 332, 337,
+        340, 353, 354, 360, 368, 387, 389, 390, 393, 394, 401, 402, 417, 420, 424, 432,
+        450, 452, 456, 464, 480,
+    )),
+    10: (136, 3003, None, (
+        15, 23, 27, 29, 30, 39, 43, 45, 54, 58, 60, 71, 75, 78, 85, 89, 92, 101, 102,
+        105, 106, 108, 116, 120, 135, 139, 149, 150, 153, 154, 165, 169, 180, 184, 198,
+        202, 212, 216, 228, 232, 263, 269, 270, 275, 281, 282, 291, 294, 297, 298, 300,
+        306, 312, 323, 325, 329, 330, 332, 337, 344, 353, 354, 356, 368, 387, 389, 390,
+        393, 394, 401, 402, 417, 420, 424, 432, 450, 452, 456, 464, 480, 523, 525, 526,
+        531, 533, 534, 547, 549, 550, 554, 556, 562, 564, 579, 581, 582, 585, 588, 593,
+        596, 609, 610, 616, 624, 643, 645, 646, 649, 650, 657, 658, 673, 676, 680, 688,
+        706, 708, 712, 720, 736, 771, 773, 774, 777, 778, 785, 786, 801, 804, 808, 816,
+        834, 836, 840, 848, 864,
+    )),
 }
 
 

@@ -1,6 +1,9 @@
 """Source hygiene checks on the package modules and the tests."""
 
 import ast
+import json
+import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,26 @@ def test_oracles_import_no_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+BENCH_RECORDS = sorted(TESTS.parent.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_record_is_consistent(path):
+    # each committed benchmark record must agree with its own runs
+    record = json.loads(path.read_text())
+    for key in ("label", "command", "pairs", "parent_revision", "change_revision", "metrics"):
+        assert key in record, key
+    assert "nproc" in record["machine"]
+    pairs = record["pairs"]
+    for name, metric in record["metrics"].items():
+        for side in ("parent", "change"):
+            stats = metric[side]
+            runs = stats["runs"]
+            assert len(runs) == pairs, (name, side)
+            assert math.isclose(stats["median"], statistics.median(runs), rel_tol=1e-3), (name, side)
+            assert stats["q1"] <= stats["median"] <= stats["q3"], (name, side)
+        if "change_better_pairs" in metric:
+            wins = sum(c < p for p, c in zip(metric["parent"]["runs"], metric["change"]["runs"]))
+            assert metric["change_better_pairs"] == wins, name
