@@ -144,9 +144,11 @@ def canonical_bases(n: int, bases) -> tuple:
 
     ``bases`` must be uniform (all members the same size), as every basis
     family is: its automorphisms are found as the bijections that preserve
-    independence.
+    independence, which on other families may not map them onto themselves.
     """
     bases = sorted(set(bases))
+    if len({b.bit_count() for b in bases}) > 1:
+        raise ValueError("canonical_bases needs a uniform family (members of one size)")
     if n <= 1 or (len(bases) == 1 and bases[0].bit_count() in (0, n)):
         return tuple(bases)
 

@@ -4,6 +4,7 @@ import random
 from itertools import combinations, permutations
 from math import factorial, prod
 
+import pytest
 from hypothesis import given
 
 from turan_matroids.acceptance import random_linear_matroid
@@ -59,6 +60,12 @@ def test_canonical_invariant_under_relabeling(rng):
     for _ in range(30):
         M = random_linear_matroid(rng, min_n=3, max_n=7)
         assert canonical_bases(M.n, M.bases) == canonical_bases(M.n, relabeled(M.n, M.bases, rng))
+
+
+def test_canonical_rejects_non_uniform_family():
+    # {0}, {0, 1}: swapping 0 and 1 preserves independence but not the family
+    with pytest.raises(ValueError, match="uniform"):
+        canonical_bases(2, [0b01, 0b11])
 
 
 def test_canonical_fano_is_relabeling_of_input():
