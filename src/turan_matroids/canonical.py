@@ -169,7 +169,7 @@ def canonical_bases(n: int, bases) -> tuple:
         for e in remaining:
             if twin_of[e] in seen:
                 continue  # a lesser element of e's orbit yields the same keys
-            seen.update(h[twin_of[e]] for h in autos)
+            seen.update(auto[twin_of[e]] for auto in autos)
             child = [h | bit if b >> e & 1 else h for h, b in zip(highs, bases)]
             rest = unassigned ^ 1 << e
             bound = tuple(sorted(h + (1 << (b & rest).bit_count()) - 1
@@ -181,7 +181,7 @@ def canonical_bases(n: int, bases) -> tuple:
                 break  # completions are pointwise >= bound, hence >= best
             c = twin_of[e]
             dfs(level - 1, child, [x for x in remaining if x != e],
-                [h for h in autos if h[c] == c])
+                [auto for auto in autos if auto[c] == c])
 
     dfs(n - 1, highs0, list(range(n)), _automorphisms_mod_twins(n, bases, twin_of))
     return best[0]

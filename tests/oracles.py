@@ -487,6 +487,7 @@ def automorphism_count_oracle(n: int, bases) -> int:
             count += 1
     return count
 
+
 def witness_matroids(n: int, families, cap: int) -> tuple:
     """The search reports' witnesses: matroids on [n] with the canonical
     bases of at most ``cap`` pairwise non-isomorphic ``families``."""
