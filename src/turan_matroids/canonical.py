@@ -128,6 +128,8 @@ def _automorphisms_mod_twins(n: int, bases, twin_of) -> list:
         c: [d for d in members if len(members[d]) == len(members[c]) and degree[d] == degree[c]]
         for c in members
     }
+    if all(targets[c] == [c] for c in members):
+        return [tuple(range(n))]  # every class maps onto itself: R is the identity
 
     def choices(k, image):
         c = twin_of[k]

@@ -363,36 +363,40 @@ def exhaustive_oracle_max_bases(n: int, r: int, s: int, t: int):
     return best, champions
 
 
-def _push_line(through, counts, ln: int) -> None:
-    """Add the long line ``ln`` to the per-point state of a line family:
-    ``through[e]`` lists the long lines through point e and ``counts[e]``
-    is the number of lines through e, 2-point lines included, which is
-    p - 1 - sum of (|L| - 2) over the long lines L through e."""
-    drop = ln.bit_count() - 2
-    for e in bit_indices(ln):
+def _push_line(through, counts, ln: int, points) -> None:
+    """Add the long line ``ln``, whose points are the tuple ``points``, to
+    the per-point state of a line family: ``through[e]`` lists the long
+    lines through point e and ``counts[e]`` is the number of lines through
+    e, 2-point lines included, which is p - 1 - sum of (|L| - 2) over the
+    long lines L through e."""
+    drop = len(points) - 2
+    for e in points:
         through[e].append(ln)
         counts[e] -= drop
 
 
-def _pop_line(through, counts, ln: int) -> None:
-    """Undo ``_push_line`` for the line pushed last."""
-    drop = ln.bit_count() - 2
-    for e in bit_indices(ln):
+def _pop_line(through, counts, points) -> None:
+    """Undo ``_push_line`` for the line pushed last, whose points are
+    ``points``."""
+    drop = len(points) - 2
+    for e in points:
         through[e].pop()
         counts[e] += drop
 
 
-def _has_arc(through, t: int) -> bool:
-    """Whether some t points have no three on one long line, that is,
-    whether the simple rank-3 matroid has a U(3, t)-restriction.
+def _has_arc(through, t: int) -> int:
+    """An arc of size t, t points with no three on one long line, as a
+    point mask, or 0 when there is none: a nonzero result is a
+    U(3, t)-restriction of the simple rank-3 matroid.
 
     A DFS adds points in increasing order; a new point e blocks the rest of
-    every long line through e that already holds a chosen point.
+    every long line through e that already holds a chosen point.  The arc
+    returned is the first one this order finds.
     """
 
-    def grow(chosen: int, size: int, left: int) -> bool:
+    def grow(chosen: int, size: int, left: int) -> int:
         if size == t:
-            return True
+            return chosen
         while size + left.bit_count() >= t:
             bit = left & -left
             left ^= bit
@@ -400,9 +404,10 @@ def _has_arc(through, t: int) -> bool:
             for ln in through[bit.bit_length() - 1]:
                 if ln & chosen:
                     blocked |= ln
-            if grow(chosen | bit, size + 1, left & ~blocked):
-                return True
-        return False
+            arc = grow(chosen | bit, size + 1, left & ~blocked)
+            if arc:
+                return arc
+        return 0
 
     return grow(0, 0, (1 << len(through)) - 1)
 
@@ -477,8 +482,18 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     - a U(3,t)-minor of a rank-3 matroid is a U(3,t)-restriction, a set of
       t points with no three on a long line (``_has_arc``).
 
-    The walk keeps the point pairs its lines use (two lines are compatible
-    when they share no pair) and the per-point state of ``_push_line``.
+    Two lines are compatible when they share at most one point.  For each
+    point count the walk numbers the candidate lines in increasing mask
+    order and precomputes, per line i, the bitset ``compat[i]`` of the
+    later lines compatible with it, and its points as a tuple.  A node
+    carries ``avail``, the later lines compatible with all of its own; it
+    visits its children in increasing order of the set bits of ``avail``,
+    and the child that adds line i gets ``avail & compat[i]``.  The walk
+    also keeps the per-point state of ``_push_line``.  On the U(3,t) side
+    a node that is not free passes the arc ``_has_arc`` found (or that it
+    inherited) to its children.  A child that adds line L keeps it, with
+    no search, while at most two of its points lie on L, since L is the
+    only new long line; otherwise the child searches afresh.
 
     A free node is scored in closed form: its blow-up with multiplicities
     mu has e3(mu) - sum over long lines L of e3(mu|L) bases, e3 being the
@@ -514,69 +529,68 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     for p in range(3, p_cap + 1):
         if exhausted:
             break
-        candidates = []
-        for k in range(3, p + 1):
-            for combo in combinations(range(p), k):
-                candidates.append(mask_of(combo))
-        candidates.sort()
-        # bit i * p + j stands for the point pair {i, j}
-        pairs = [
-            sum(1 << (i * p + j) for i, j in combinations(bit_indices(ln), 2))
-            for ln in candidates
+        candidates = sorted(
+            mask_of(combo) for k in range(3, p + 1) for combo in combinations(range(p), k)
+        )
+        points = [tuple(bit_indices(ln)) for ln in candidates]
+        m = len(candidates)
+        # bit j of compat[i] is set when j > i and lines i and j share at
+        # most one point
+        compat = [
+            sum(1 << j for j in range(i + 1, m) if (ln & candidates[j]).bit_count() <= 1)
+            for i, ln in enumerate(candidates)
         ]
         full = (1 << p) - 1
         through = [[] for _ in range(p)]
         counts = [p - 1] * p
         blowups = None  # built on the first free node on p points
 
-        def process(family, parent_free):
-            """(alive, free): alive=False prunes extensions (rank collapse
-            is permanent under adding lines).  Adding a line removes arcs
-            and lowers the line counts of its points, so freeness passes
-            from parent to child for both s."""
+        def dfs(family, avail, parent_free, arc):
+            """Visit the node ``family`` and its children, the families that
+            add one line of ``avail``.  Adding a line removes arcs and lowers
+            the line counts of its points, so freeness passes from parent
+            to child for both s; ``arc`` is an arc the node still has, or 0
+            if it must be searched for."""
             nonlocal nodes, best, champions, pruned_forbidden, exhausted, blowups
             if nodes >= budget:
                 exhausted = True
-                return False, False
+                return
             nodes += 1
             if family == [full]:
-                return False, False  # all triples collinear: rank below 3
+                return  # all triples collinear: rank below 3, and no child
             if parent_free:
                 free = True
             elif s == 3:
-                free = not _has_arc(through, t)
+                arc = arc or _has_arc(through, t)
+                free = not arc
             else:
                 free = max(counts) < t
             if not free:
                 pruned_forbidden += 1
-                return True, False
-            if blowups is None:
-                blowups = _BlowupCounts(n, p)
-            val, mult = blowups.best(family)
-            if val > best:
-                best = val
-                champions = []
-            if val == best and len(champions) < opts.witness_cap:
-                champions.append(parallel_blowup(rank3_from_lines(p, family), mult).bases)
-            return True, True
-
-        def dfs(start, family, used, parent_free):
-            alive, free = process(family, parent_free)
-            if not alive or exhausted:
-                return
-            for i in range(start, len(candidates)):
-                if pairs[i] & used:
-                    continue
-                ln = candidates[i]
+            else:
+                if blowups is None:
+                    blowups = _BlowupCounts(n, p)
+                val, mult = blowups.best(family)
+                if val > best:
+                    best = val
+                    champions = []
+                if val == best and len(champions) < opts.witness_cap:
+                    champions.append(parallel_blowup(rank3_from_lines(p, family), mult).bases)
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                i = low.bit_length() - 1
+                ln, pts = candidates[i], points[i]
                 family.append(ln)
-                _push_line(through, counts, ln)
-                dfs(i + 1, family, used | pairs[i], free)
-                _pop_line(through, counts, ln)
+                _push_line(through, counts, ln, pts)
+                # the new line is the only one that can hold three arc points
+                dfs(family, avail & compat[i], free, arc if (arc & ln).bit_count() <= 2 else 0)
+                _pop_line(through, counts, pts)
                 family.pop()
                 if exhausted:
                     return
 
-        dfs(0, [], 0, False)
+        dfs([], (1 << m) - 1, False, 0)
 
     exhaustive = (p_cap >= n) and not exhausted
     witnesses = _witnesses(n, champions, opts.witness_cap)

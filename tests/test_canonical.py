@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from turan_matroids.acceptance import random_linear_matroid
+from turan_matroids import canonical
 from turan_matroids.bitsets import mask_of
 from turan_matroids.canonical import (
     _automorphisms_mod_twins,
@@ -244,6 +245,19 @@ def test_canonical_uniform_is_immediate():
     # child; the search without symmetry pruning takes minutes on U(5, 10)
     for r, n in ((4, 8), (5, 10), (3, 9)):
         bases = uniform(r, n).bases
+        assert canonical_bases(n, bases) == tuple(sorted(bases))
+
+
+def test_uniform_automorphisms_skip_the_backtracking(monkeypatch):
+    # on U(r, n) one twin class holds every element, so R is the identity
+    # and no independent-set table is built
+    def unexpected(family):
+        raise AssertionError("independent sets built for a uniform matroid")
+
+    monkeypatch.setattr(canonical, "_independent_sets", unexpected)
+    for r, n in ((4, 8), (5, 10), (3, 9)):
+        bases = uniform(r, n).bases
+        assert _automorphisms_mod_twins(n, bases, _twin_classes(n, bases)) == [tuple(range(n))]
         assert canonical_bases(n, bases) == tuple(sorted(bases))
 
 

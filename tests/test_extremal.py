@@ -110,11 +110,13 @@ def test_search_budget_is_global():
 
 
 def test_rank3_search_budget_is_exact():
-    # the full rank-3 search for (7, 3, 5) visits 8,783 nodes
-    report = search_ex_rank3(7, 3, 5, SearchOptions(max_nodes=8_783))
-    assert report.exhaustive and report.nodes_explored == 8_783
-    report = search_ex_rank3(7, 3, 5, SearchOptions(max_nodes=8_782))
-    assert not report.exhaustive and report.nodes_explored == 8_782
+    # each full rank-3 search visits 8,783 nodes; (3, 4) keeps inherited
+    # arcs at most of its nodes and (2, 4) reads line counts
+    for s, t in ((3, 5), (3, 4), (2, 4)):
+        report = search_ex_rank3(7, s, t, SearchOptions(max_nodes=8_783))
+        assert report.exhaustive and report.nodes_explored == 8_783, (s, t)
+        report = search_ex_rank3(7, s, t, SearchOptions(max_nodes=8_782))
+        assert not report.exhaustive and report.nodes_explored == 8_782, (s, t)
     for budget in (0, 1, 10, 100):
         report = search_ex_rank3(7, 3, 5, SearchOptions(max_nodes=budget))
         assert not report.exhaustive and report.nodes_explored <= budget
@@ -304,18 +306,22 @@ def test_rank3_line_state_detects_minors():
         for family in _line_families(p):
             through, counts = [[] for _ in range(p)], [p - 1] * p
             for ln in family:
-                extremal._push_line(through, counts, ln)
+                extremal._push_line(through, counts, ln, tuple(bit_indices(ln)))
             M = rank3_from_lines(p, family)
             for t in range(3, 8):
                 many_lines = max(counts) >= t
                 arc = extremal._has_arc(through, t)
+                # a found arc is t points with no three on one long line
+                if arc:
+                    assert arc.bit_count() == t, (p, family, t)
+                    assert all((arc & ln).bit_count() <= 2 for ln in family), (p, family, t)
                 assert many_lines == has_uniform_minor(M, 2, t)[0], (p, family, t)
-                assert arc == has_uniform_restriction(M, 3, t)[0], (p, family, t)
+                assert bool(arc) == has_uniform_restriction(M, 3, t)[0], (p, family, t)
                 if p <= 5:
                     assert many_lines == uniform_minor_oracle(M, 2, t)
-                    assert arc == uniform_minor_oracle(M, 3, t)
+                    assert bool(arc) == uniform_minor_oracle(M, 3, t)
             for ln in reversed(family):
-                extremal._pop_line(through, counts, ln)
+                extremal._pop_line(through, counts, tuple(bit_indices(ln)))
             assert through == [[] for _ in range(p)] and counts == [p - 1] * p
 
 
@@ -366,6 +372,45 @@ def test_rank3_counters_pinned(monkeypatch):
         assert rep.exhaustive
         assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == expected
         assert len(calls) == RANK3_BUILDS[n, s, t]
+
+
+# the exhaustive cells at n = 8 with the point cap raised to 8: the
+# report's counters and the bases of its witnesses
+RANK3_CAP8 = {
+    (3, 5): (
+        (48, 441_822, 429_986, 0),
+        [
+            (7, 11, 13, 14, 19, 21, 22, 25, 26, 35, 37, 38, 41, 44, 50, 52, 56, 67, 69, 74,
+             76, 81, 82, 84, 88, 97, 98, 100, 104, 112, 131, 134, 137, 138, 140, 145, 148,
+             152, 161, 162, 164, 168, 176, 193, 194, 196, 200, 208),
+        ],
+    ),
+    (3, 4): (
+        (30, 441_822, 441_785, 0),
+        [
+            (7, 11, 13, 19, 21, 25, 35, 37, 41, 49, 67, 69, 73, 81, 97, 134, 138, 140, 146,
+             148, 152, 162, 164, 168, 176, 194, 196, 200, 208, 224),
+            (7, 11, 13, 19, 21, 25, 35, 37, 41, 49, 70, 74, 76, 82, 84, 88, 98, 100, 104,
+             112, 134, 138, 140, 146, 148, 152, 162, 164, 168, 176),
+        ],
+    ),
+    (2, 4): (
+        (40, 441_822, 441_735, 0),
+        [
+            (7, 11, 13, 14, 19, 21, 22, 35, 37, 42, 44, 50, 52, 67, 70, 73, 76, 81, 84, 97,
+             98, 100, 104, 112, 133, 134, 137, 138, 145, 146, 161, 162, 164, 168, 176, 193,
+             194, 196, 200, 208),
+        ],
+    ),
+}
+
+
+def test_rank3_cap8_cells_pinned():
+    for (s, t), (counters, witnesses) in RANK3_CAP8.items():
+        rep = search_ex_rank3(8, s, t, SearchOptions(rank3_point_cap=8))
+        assert rep.exhaustive, (s, t)
+        assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == counters
+        assert [w.bases for w in rep.witnesses] == witnesses, (s, t)
 
 
 def test_rank3_backend_partial_beyond_point_cap():
