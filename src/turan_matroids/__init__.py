@@ -11,15 +11,11 @@ from .matroid import (
     MatroidError,
     SimplificationMap,
     TheoremViolation,
-    basis_density,
-    circuits,
-    circumference,
     closure,
     connected_components,
     contract,
     delete,
     direct_sum,
-    dual,
     is_simple,
     parallel_blowup,
     rank_of,
@@ -44,12 +40,10 @@ from .hypergraphs import (
     complete_uniform,
     daisy,
     has_daisy,
-    hypergraph_is_matroidal,
     suspension,
 )
 from .minors import (
     MinorWitness,
-    bell_number,
     count_matroids,
     has_uniform_minor,
     has_uniform_restriction,

@@ -132,7 +132,8 @@ def ex_u34_odd_leading(n: int, r: int) -> Fraction:
 
 def ex_u35(n: int) -> Fraction:
     """(n/2)^3 - (n/2)^2: maximum rank-3 basis count with no 5-point free
-    restriction, attained by two disjoint lines; exact for even n >= 14."""
+    restriction, attained by two disjoint lines; exact for even n >= 14.
+    The exhaustive rank-3 search attains it at n = 6 and 8 as well."""
     if n % 2:
         raise MatroidError("even n required")
     if n < 2:

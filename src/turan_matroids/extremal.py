@@ -363,27 +363,6 @@ def exhaustive_oracle_max_bases(n: int, r: int, s: int, t: int):
     return best, champions
 
 
-def _push_line(through, counts, ln: int, points) -> None:
-    """Add the long line ``ln``, whose points are the tuple ``points``, to
-    the per-point state of a line family: ``through[e]`` lists the long
-    lines through point e and ``counts[e]`` is the number of lines through
-    e, 2-point lines included, which is p - 1 - sum of (|L| - 2) over the
-    long lines L through e."""
-    drop = len(points) - 2
-    for e in points:
-        through[e].append(ln)
-        counts[e] -= drop
-
-
-def _pop_line(through, counts, points) -> None:
-    """Undo ``_push_line`` for the line pushed last, whose points are
-    ``points``."""
-    drop = len(points) - 2
-    for e in points:
-        through[e].pop()
-        counts[e] += drop
-
-
 def _has_arc(through, t: int) -> int:
     """An arc of size t, t points with no three on one long line, as a
     point mask, or 0 when there is none: a nonzero result is a
@@ -410,6 +389,33 @@ def _has_arc(through, t: int) -> int:
         return 0
 
     return grow(0, 0, (1 << len(through)) - 1)
+
+
+def _has_fan(through, t: int) -> int:
+    """A fan of size t, a point e and one point on each of t lines through
+    e, 2-point lines included, as a mask of those t + 1 points, or 0 when
+    there is none: a nonzero result is a U(2, t)-minor of the simple rank-3
+    matroid, since contracting e leaves the lines through e as its parallel
+    classes.
+
+    Point e lies on the long lines ``through[e]`` and on one 2-point line
+    per point on none of them.  The fan returned is the first e in
+    increasing order with at least t lines, with the lowest other point of
+    each long line, keeping the t lowest of those points.  The walk adds
+    lines in increasing mask order, so low points keep the fan longest.
+    """
+    full = (1 << len(through)) - 1
+    for e, lines in enumerate(through):
+        bit = 1 << e
+        fan = full & ~bit
+        for ln in lines:
+            rest = ln & ~bit
+            fan = fan & ~rest | rest & -rest
+        if fan.bit_count() >= t:
+            while fan.bit_count() > t:
+                fan ^= 1 << fan.bit_length() - 1
+            return fan | bit
+    return 0
 
 
 def _e3(comps: np.ndarray, points) -> np.ndarray:
@@ -489,11 +495,15 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     carries ``avail``, the later lines compatible with all of its own; it
     visits its children in increasing order of the set bits of ``avail``,
     and the child that adds line i gets ``avail & compat[i]``.  The walk
-    also keeps the per-point state of ``_push_line``.  On the U(3,t) side
-    a node that is not free passes the arc ``_has_arc`` found (or that it
-    inherited) to its children.  A child that adds line L keeps it, with
-    no search, while at most two of its points lie on L, since L is the
-    only new long line; otherwise the child searches afresh.
+    keeps one per-point state, ``through[e]``, the long lines through
+    point e.  A node that is not free passes the witness it found (or
+    inherited) to its children: an arc from ``_has_arc``, or a fan from
+    ``_has_fan``.  A child that adds line L keeps it, with no search,
+    while at most two of its points lie on L; otherwise the child searches
+    afresh.  L is the only new long line, so an arc keeps no three points
+    on one line.  A fan through e keeps its points on distinct lines
+    through e: if L misses e it changes no line through e, and if L passes
+    through e it holds at most one other fan point.
 
     A free node is scored in closed form: its blow-up with multiplicities
     mu has e3(mu) - sum over long lines L of e3(mu|L) bases, e3 being the
@@ -518,6 +528,7 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     if n < 3:
         raise MatroidError("rank 3 needs n >= 3")
 
+    find_witness = _has_arc if s == 3 else _has_fan
     budget = opts.max_nodes
     nodes = 0
     pruned_forbidden = 0
@@ -542,15 +553,14 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
         ]
         full = (1 << p) - 1
         through = [[] for _ in range(p)]
-        counts = [p - 1] * p
         blowups = None  # built on the first free node on p points
 
-        def dfs(family, avail, parent_free, arc):
+        def dfs(family, avail, parent_free, witness):
             """Visit the node ``family`` and its children, the families that
-            add one line of ``avail``.  Adding a line removes arcs and lowers
-            the line counts of its points, so freeness passes from parent
-            to child for both s; ``arc`` is an arc the node still has, or 0
-            if it must be searched for."""
+            add one line of ``avail``.  Adding a line removes arcs and merges
+            lines through its points, so freeness passes from parent to
+            child for both s; ``witness`` is an arc or fan the node still
+            has, or 0 if it must be searched for."""
             nonlocal nodes, best, champions, pruned_forbidden, exhausted, blowups
             if nodes >= budget:
                 exhausted = True
@@ -560,11 +570,9 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
                 return  # all triples collinear: rank below 3, and no child
             if parent_free:
                 free = True
-            elif s == 3:
-                arc = arc or _has_arc(through, t)
-                free = not arc
             else:
-                free = max(counts) < t
+                witness = witness or find_witness(through, t)
+                free = not witness
             if not free:
                 pruned_forbidden += 1
             else:
@@ -582,10 +590,12 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
                 i = low.bit_length() - 1
                 ln, pts = candidates[i], points[i]
                 family.append(ln)
-                _push_line(through, counts, ln, pts)
-                # the new line is the only one that can hold three arc points
-                dfs(family, avail & compat[i], free, arc if (arc & ln).bit_count() <= 2 else 0)
-                _pop_line(through, counts, pts)
+                for e in pts:
+                    through[e].append(ln)
+                kept = witness if (witness & ln).bit_count() <= 2 else 0
+                dfs(family, avail & compat[i], free, kept)
+                for e in pts:
+                    through[e].pop()
                 family.pop()
                 if exhausted:
                     return

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 
 from .bitsets import bit_indices, mask_of, subsets_of_size
-from .matroid import Matroid, MatroidError, validate_exchange
+from .matroid import Matroid, MatroidError
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class UniformHypergraph:
                 raise MatroidError(f"edge {e:#x} is not {k}-uniform")
         return cls(v, k, members)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def complete_uniform(t: int, s: int) -> UniformHypergraph:
     """The complete s-graph on t vertices."""
@@ -52,13 +48,6 @@ def complete_uniform(t: int, s: int) -> UniformHypergraph:
 
 def basis_hypergraph(M: Matroid) -> UniformHypergraph:
     return UniformHypergraph(M.n, M.r, M.bases)
-
-
-def hypergraph_is_matroidal(H: UniformHypergraph) -> bool:
-    """True when the edge family satisfies the basis-exchange property."""
-    if not H.edges:
-        raise MatroidError("empty edge set")
-    return validate_exchange(H.v, H.edges)
 
 
 def suspension(H: UniformHypergraph, r: int) -> UniformHypergraph:

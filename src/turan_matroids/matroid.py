@@ -12,9 +12,7 @@ and serialization canonical for a fixed labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
-from math import comb
+from itertools import product
 
 from .bitsets import bit_indices, mask_of, shift_down_above, subsets_of_size
 
@@ -141,11 +139,6 @@ def closure(M: Matroid, X: int) -> int:
     return X | (M.full_mask & ~outside)
 
 
-def is_loop(M: Matroid, e: int) -> bool:
-    bit = 1 << e
-    return all(not b & bit for b in M.bases)
-
-
 def is_coloop(M: Matroid, e: int) -> bool:
     bit = 1 << e
     return all(b & bit for b in M.bases)
@@ -191,11 +184,6 @@ def restrict(M: Matroid, X: int) -> Matroid:
     return Matroid.from_bases(X.bit_count(), bases, validate=False)
 
 
-def dual(M: Matroid) -> Matroid:
-    full = M.full_mask
-    return Matroid.from_bases(M.n, [full ^ b for b in M.bases], validate=False)
-
-
 @dataclass(frozen=True)
 class SimplificationMap:
     """How a matroid collapses to its simplification.
@@ -205,13 +193,8 @@ class SimplificationMap:
     Element i of the simplified matroid corresponds to classes[i].
     """
 
-    loops: int
     classes: tuple
     representatives: tuple
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.loops == 0 and all(c.bit_count() == 1 for c in self.classes)
 
 
 def parallel(M: Matroid, e: int, f: int) -> bool:
@@ -244,7 +227,7 @@ def simplify(M: Matroid):
     for b in M.bases:
         seen.add(mask_of(new_index[rep_of_elem[e]] for e in bit_indices(b)))
     simple = Matroid.from_bases(len(classes), sorted(seen), validate=False)
-    return simple, SimplificationMap(loops, tuple(classes), reps)
+    return simple, SimplificationMap(tuple(classes), reps)
 
 
 def is_simple(M: Matroid) -> bool:
@@ -272,26 +255,6 @@ def truncate(M: Matroid, m: int) -> Matroid:
     return Matroid.from_bases(M.n, sorted(seen), validate=False)
 
 
-def circuits(M: Matroid):
-    """All minimal dependent sets, sorted by (size, mask)."""
-    found = []
-    for k in range(1, M.r + 2):
-        for combo in combinations(range(M.n), k):
-            x = mask_of(combo)
-            if any(c & x == c for c in found):
-                continue
-            if rank_of(M, x) < k:
-                found.append(x)
-    return sorted(found, key=lambda c: (c.bit_count(), c))
-
-
-def circumference(M: Matroid) -> int:
-    """Size of a largest circuit; a free matroid (n = r) has none."""
-    if M.n == M.r:
-        raise MatroidError("free matroid has no circuits")
-    return max(c.bit_count() for c in circuits(M))
-
-
 def parallel_blowup(M: Matroid, mult) -> Matroid:
     """Replace element i by a class of mult[i] pairwise-parallel copies."""
     mult = list(mult)
@@ -317,30 +280,25 @@ def parallel_blowup(M: Matroid, mult) -> Matroid:
     return Matroid.from_bases(total, bases, validate=False)
 
 
-def basis_density(M: Matroid) -> Fraction:
-    """Exact edge density b(M) / C(n, r) of the basis hypergraph."""
-    return Fraction(M.basis_count, comb(M.n, M.r))
-
-
 def connected_components(M: Matroid):
-    """Masks of the connected components (elements sharing a circuit are
-    connected; loops and coloops are singleton components).  A matroid is
-    the direct sum of its restrictions to these masks."""
-    parent = list(range(M.n))
+    """Masks of the connected components, sorted (elements sharing a
+    circuit are connected; loops and coloops are singleton components).  A
+    matroid is the direct sum of its restrictions to these masks.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for c in circuits(M):
-        elems = list(bit_indices(c))
-        for e in elems[1:]:
-            ra, rb = find(elems[0]), find(e)
-            if ra != rb:
-                parent[rb] = ra
-    groups = {}
-    for e in range(M.n):
-        groups.setdefault(find(e), []).append(e)
-    return sorted(mask_of(g) for g in groups.values())
+    Read off one basis b: the fundamental circuit of f outside b is f plus
+    every e in b with b - e + f a basis, and the components of the graph
+    these circuits span are the matroid's (Krogdahl, "The dependence graph
+    for bases in matroids", 1977).  A loop's fundamental circuit is itself
+    and a coloop lies in none, so both come out as singletons.
+    """
+    b = M.bases[0]
+    bases = set(M.bases)
+    comps = [1 << e for e in range(M.n)]
+    for f in bit_indices(M.full_mask & ~b):
+        circuit = 1 << f
+        for e in bit_indices(b):
+            if b & ~(1 << e) | 1 << f in bases:
+                circuit |= 1 << e
+        joined = [c for c in comps if c & circuit]
+        comps = [c for c in comps if not c & circuit] + [sum(joined)]  # disjoint: sum is union
+    return sorted(comps)

@@ -125,15 +125,3 @@ def count_matroids(n: int, r: int, up_to_iso: bool = False) -> int:
                 count += 1
     return len(seen) if up_to_iso else count
 
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set, via the Bell triangle."""
-    if n < 0:
-        raise MatroidError("need n >= 0")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]

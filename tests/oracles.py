@@ -234,6 +234,30 @@ def restrict_oracle(M: Matroid, X: int) -> Matroid:
     return out
 
 
+def circuits(M: Matroid):
+    """All minimal dependent sets, sorted by (size, mask), found by a rank
+    query on every subset of at most r + 1 elements."""
+    found = []
+    for k in range(1, M.r + 2):
+        for combo in combinations(range(M.n), k):
+            x = mask_of(combo)
+            if any(c & x == c for c in found):
+                continue
+            if rank_of(M, x) < k:
+                found.append(x)
+    return sorted(found, key=lambda c: (c.bit_count(), c))
+
+
+def connected_components_oracle(M: Matroid):
+    """Masks of the connected components, sorted: elements are merged
+    whenever some circuit holds both."""
+    comps = [1 << e for e in range(M.n)]
+    for circuit in circuits(M):
+        joined = [c for c in comps if c & circuit]
+        comps = [c for c in comps if not c & circuit] + [sum(joined)]
+    return sorted(comps)
+
+
 def has_uniform_restriction_oracle(M: Matroid, s: int, t: int):
     """Is there a t-set T with M|T uniform of rank s?
 

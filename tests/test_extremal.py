@@ -304,25 +304,27 @@ def _line_families(p):
 def test_rank3_line_state_detects_minors():
     for p in range(3, 7):
         for family in _line_families(p):
-            through, counts = [[] for _ in range(p)], [p - 1] * p
-            for ln in family:
-                extremal._push_line(through, counts, ln, tuple(bit_indices(ln)))
+            through = [[ln for ln in family if ln >> e & 1] for e in range(p)]
             M = rank3_from_lines(p, family)
             for t in range(3, 8):
-                many_lines = max(counts) >= t
+                fan = extremal._has_fan(through, t)
                 arc = extremal._has_arc(through, t)
+                # a found fan is a point and t others on distinct lines through it
+                if fan:
+                    assert fan.bit_count() == t + 1, (p, family, t)
+                    assert any(
+                        all((fan & ln).bit_count() <= 2 for ln in through[e])
+                        for e in bit_indices(fan)
+                    ), (p, family, t)
                 # a found arc is t points with no three on one long line
                 if arc:
                     assert arc.bit_count() == t, (p, family, t)
                     assert all((arc & ln).bit_count() <= 2 for ln in family), (p, family, t)
-                assert many_lines == has_uniform_minor(M, 2, t)[0], (p, family, t)
+                assert bool(fan) == has_uniform_minor(M, 2, t)[0], (p, family, t)
                 assert bool(arc) == has_uniform_restriction(M, 3, t)[0], (p, family, t)
                 if p <= 5:
-                    assert many_lines == uniform_minor_oracle(M, 2, t)
+                    assert bool(fan) == uniform_minor_oracle(M, 2, t)
                     assert bool(arc) == uniform_minor_oracle(M, 3, t)
-            for ln in reversed(family):
-                extremal._pop_line(through, counts, tuple(bit_indices(ln)))
-            assert through == [[] for _ in range(p)] and counts == [p - 1] * p
 
 
 def test_rank3_blowup_value_matches_bases():
@@ -416,7 +418,7 @@ def test_rank3_cap8_cells_pinned():
 def test_rank3_backend_partial_beyond_point_cap():
     report = search_ex_rank3(8, 3, 5)
     assert not report.exhaustive  # the 8-point two-line witness is out of reach
-    assert report.max_bases <= ex_u35(8)
+    assert report.max_bases <= ex_u35(8) == RANK3_CAP8[3, 5][0][0]
 
 
 def test_rank3_backend_rejects_bad_parameters():
@@ -548,6 +550,9 @@ def test_two_lines_meet_closed_form():
     M = two_disjoint_lines(7, 7)
     assert M.basis_count == ex_u35(14) == 294
     assert not has_uniform_restriction(M, 3, 5)[0]
+    # the exhaustive search attains the bound below 14 as well
+    report = search_ex_rank3(6, 3, 5)
+    assert report.exhaustive and report.max_bases == ex_u35(6) == 18
 
 
 def test_density_rows_monotone():

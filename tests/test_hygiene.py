@@ -28,12 +28,17 @@ def unused_imports(source: str):
                     continue
                 bound = alias.asname or alias.name.split(".")[0]
                 imported[bound] = node.lineno
-    read = {
+    read = names_read(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def names_read(tree) -> set:
+    """Every bare name that the tree loads."""
+    return {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
 def test_unused_imports_detected():
@@ -44,6 +49,24 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_no_unused_imports(name):
     assert unused_imports(SOURCES[name].read_text()) == []
+
+
+def test_reexports_are_read_by_the_package():
+    # a function or class that only __init__ and the tests reach is dead
+    # weight in the package; daisy is exempt as the paper's forbidden
+    # hypergraph, which the package detects but never builds
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= names_read(ast.parse(path.read_text()))
+    assert sorted(exported - read - {"daisy"}) == []
 
 
 def test_oracles_import_no_private_names():
