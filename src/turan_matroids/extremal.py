@@ -13,9 +13,14 @@ prefix-monotone, so it is tested only on completed families.  Consecutive
 leaves differ only in their last-decided edges, so a leaf first re-checks
 the last exchange witness found in its subtree, as two edge-index masks
 (``_witness_masks``), and gets the full check only when that witness no
-longer refutes it.  The tree is split at a fixed depth into subtrees that
-run in fixed order under one node budget, each getting whatever its
-predecessors left unspent, so results and counters are deterministic.
+longer refutes it.  A subtree that can change nothing, because that
+witness refutes every leaf in it and no stem lies in C(t, s) of the edges
+it may still choose (``StemLinks.stars``), is counted in closed form
+(``_bound_tree``) instead of walked, and so is an exclude child that the
+bound prunes; the node counts and the budget are those of the full walk.
+The tree is split at a fixed depth into subtrees that run in fixed order
+under one node budget, each getting whatever its predecessors left
+unspent, so results and counters are deterministic.
 """
 
 from __future__ import annotations
@@ -188,9 +193,79 @@ def _witness_masks(witness, index):
     return need, repair
 
 
-def _subtree_search(links, index, prefix_bits, depth, threshold, budget, cap):
-    """DFS one fixed prefix of include/exclude decisions, visiting at most
-    ``budget`` nodes; returns
+def _sparse_gates(links, threshold):
+    """Where the generic search tests that no daisy can complete below a
+    node, and what the chosen family must miss for the test to pass.
+
+    At the node that decides edge idx, ``upper`` is the chosen family and
+    every edge from idx on.  The test passes when every stem lies in
+    fewer than k = C(t, s) edges of ``upper`` (``links.stars``).  Returns
+    (ceiling, forbid), each indexed by idx:
+
+    - ceiling[idx] is the most edges ``upper`` may hold, or -1 where the
+      test is skipped.  Each edge lies in C(r, s) stars, so more than
+      (k - 1) * #stems / C(r, s) edges fill some star.  The test is
+      skipped while the edges from idx on alone fill a star, and where
+      fewer than three edges are left: such a subtree has at most seven
+      nodes, and testing there costs more than it saves on searches where
+      the test seldom passes.  Every node the bound keeps holds at least
+      the incumbent's count in ``upper``, so a ceiling below the catalog
+      seed skips all tests.
+    - forbid[idx] is the union of the stars that hold exactly k - 1 of
+      the edges from idx on; the chosen family must miss them.
+    """
+    edges = links.edges
+    m, k = len(edges), comb(links.t, links.s)
+    dense = (k - 1) * len(links.stars) // comb(edges[0].bit_count(), links.s)
+    ceiling, forbid = [-1] * m, [0] * m
+    if dense < threshold:
+        return ceiling, forbid
+    first, spans = 0, []
+    for star in links.stars.values():
+        # drop the k - 1 highest edges; fewer than k are left from idx on
+        # exactly when idx >= top.bit_length()
+        top = star
+        for _ in range(min(k - 1, star.bit_count())):
+            top ^= 1 << top.bit_length() - 1
+        first = max(first, top.bit_length())
+        highest = star ^ top
+        if k > 1 and highest.bit_count() == k - 1:
+            spans.append((top.bit_length(), (highest & -highest).bit_length() - 1, star))
+    last = m - 3
+    for i in range(first, last + 1):
+        ceiling[i] = dense
+    for lo, hi, star in spans:
+        for i in range(max(lo, first), min(hi, last) + 1):
+            forbid[i] |= star
+    return ceiling, forbid
+
+
+def _bound_tree(rows, q: int, slack: int):
+    """(nodes, pruned_bound) of the walk below a node with ``q`` edges
+    left to decide and ``slack`` = count + q - best >= -1, when every
+    include is allowed and no leaf is accepted: a node with slack < 0 and
+    q > 0 is pruned by the bound, and otherwise its include child keeps
+    the slack and its exclude child has one less.
+
+    ``rows[q]`` holds the pairs for slack -1..q; slack above q prunes
+    nothing more than slack q.  Rows are appended as far as ``q`` needs."""
+    while len(rows) <= q:
+        p = len(rows)
+        if not p:
+            rows.append([(1, 0), (1, 0)])
+            continue
+        prev = rows[-1]
+        row = [(1, 1)]
+        for k in range(p + 1):
+            inc, exc = prev[min(k, p - 1) + 1], prev[k]
+            row.append((inc[0] + exc[0] + 1, inc[1] + exc[1]))
+        rows.append(row)
+    return rows[q][min(slack, q) + 1]
+
+
+def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, cap):
+    """DFS one fixed prefix of include/exclude decisions, counting at most
+    ``budget`` >= 1 nodes; returns
     (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted).
 
     The chosen family is a mask over indices into ``links.edges`` with a
@@ -204,8 +279,21 @@ def _subtree_search(links, index, prefix_bits, depth, threshold, budget, cap):
     in this subtree still refutes it (``_witness_masks``).  Otherwise it
     gets the full check, and a violation found there becomes the new
     witness.  A leaf is accepted only by the full check and rejected only
-    by a re-verified violation, so the search visits, counts and keeps
-    exactly what a full check at every leaf would."""
+    by a re-verified violation.
+
+    A node whose subtree is already decided is counted, not walked.  Let
+    ``upper`` be its chosen edges and the undecided ones; every family
+    below lies between the chosen edges and ``upper``.  When the witness
+    refutes each of them (B1 and B2 chosen, no repair in ``upper``) and
+    every stem lies in fewer than C(t, s) edges of ``upper``, so that no
+    daisy test below can succeed, nothing below changes the incumbent,
+    the witness or the champions, and the subtree is the plain
+    bound-pruned tree of ``_bound_tree``.  Its nodes and bound prunes are
+    added unless the budget would end inside it, in which case it is
+    walked.  ``gates`` (``_sparse_gates``) says where to test and rejects
+    most failing nodes before the stars are read.  So the search counts
+    and keeps exactly what a full check at every leaf of the whole tree
+    would."""
     edges = links.edges
     n, m = links.n, len(edges)
     push, pop = links.push, links.pop
@@ -225,6 +313,20 @@ def _subtree_search(links, index, prefix_bits, depth, threshold, budget, cap):
     # the last exchange witness found in this subtree; until there is one,
     # ``need`` holds an index past the last edge and refutes no family
     need, repair = 1 << m, 0
+    full = (1 << m) - 1
+    ceiling, forbid = gates
+    stars = list(links.stars.values())
+    min_edges = comb(links.t, links.s)
+    hot = 0  # the star that last held C(t, s) edges of ``upper``
+    rows = []
+
+    def sparse(upper):
+        nonlocal hot
+        for j, star in enumerate(stars):
+            if (star & upper).bit_count() >= min_edges:
+                hot = j
+                return False
+        return True
 
     def leaf(fam, count):
         nonlocal best, witnesses, need, repair
@@ -244,9 +346,10 @@ def _subtree_search(links, index, prefix_bits, depth, threshold, budget, cap):
             witnesses.append(tuple(sorted(family)))
 
     def dfs(idx, fam, count):
+        # a node the bound keeps: its include child has the same count
+        # plus edges left, so only its exclude child can be pruned, and
+        # that is counted here without a call
         nonlocal nodes, pruned_daisy, pruned_bound, exhausted
-        if exhausted:
-            return
         if nodes >= budget:
             exhausted = True
             return
@@ -254,18 +357,38 @@ def _subtree_search(links, index, prefix_bits, depth, threshold, budget, cap):
         if idx == m:
             leaf(fam, count)
             return
-        if count + (m - idx) < best:
-            pruned_bound += 1
-            return
+        left = m - idx
+        if count + left <= ceiling[idx] and not fam & forbid[idx] and fam & need == need:
+            upper = fam | full >> idx << idx
+            if (
+                not upper & repair
+                and (stars[hot] & upper).bit_count() < min_edges
+                and sparse(upper)
+            ):
+                below, bound = _bound_tree(rows, left, count + left - best)
+                if nodes + below - 1 <= budget:
+                    nodes += below - 1
+                    pruned_bound += bound
+                    return
         push(idx)
         if daisy_completed_by_edge(links, idx):
             pruned_daisy += 1
         else:
             dfs(idx + 1, fam | 1 << idx, count + 1)
         pop(idx)
-        dfs(idx + 1, fam, count)
+        if left == 1 or count + left > best:
+            dfs(idx + 1, fam, count)
+        elif nodes < budget:
+            nodes += 1
+            pruned_bound += 1
+        else:
+            exhausted = True
 
-    dfs(depth, mask_of(prefix), len(prefix))
+    count = len(prefix)
+    if depth == m or count + m - depth >= best:
+        dfs(depth, mask_of(prefix), count)
+    else:  # the bound prunes the root
+        nodes, pruned_bound = 1, 1
     for i in prefix:
         pop(i)
     return (best, witnesses, nodes, pruned_daisy, pruned_bound, exhausted)
@@ -298,6 +421,7 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     threshold = seed.basis_count if seed is not None else 0
     links = StemLinks(n, r, s, t)
     index = {e: i for i, e in enumerate(links.edges)}
+    gates = _sparse_gates(links, threshold)
 
     depth = min(SPLIT_DEPTH, m)
     left = opts.max_nodes
@@ -305,7 +429,9 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     for prefix in range(1 << depth):
         if left <= 0:
             break
-        res = _subtree_search(links, index, prefix, depth, threshold, left, opts.witness_cap)
+        res = _subtree_search(
+            links, index, gates, prefix, depth, threshold, left, opts.witness_cap
+        )
         results.append(res)
         left -= res[2]
     exhaustive = len(results) == 1 << depth and not any(res[5] for res in results)

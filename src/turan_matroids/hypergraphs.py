@@ -121,6 +121,8 @@ class StemLinks:
     bit, so edges may be popped in any order.  ``stems[i]`` lists, per
     stem S inside edge i in lexicographic order, the key base S << n, the
     petal e - S as a mask and the slots of the petal's (s-1)-subsets.
+    ``stars[S]`` is the mask of the indices of the edges that contain the
+    stem S.
     """
 
     def __init__(self, n: int, k: int, s: int, t: int):
@@ -128,22 +130,30 @@ class StemLinks:
             raise MatroidError("need 1 <= s <= k and t >= s")
         self.n, self.s, self.t = n, s, t
         self.edges = [mask_of(c) for c in combinations(range(n), k)]
-        self.slot_of = {}
+        self.slot_of = slot_of = {}
         self.bits = []
         self.stems = []
-        for edge in self.edges:
-            bits, stems = [], []
+        self.stars = stars = {}
+        faces_of = {}  # petal -> its (s-1)-subsets F, each with petal - F
+        for i, edge in enumerate(self.edges):
+            bits, stems, own = [], [], 1 << i
             for stem in subsets_of_size(edge, k - s):
+                stars[stem] = stars.get(stem, 0) | own
                 base, petal = stem << n, edge ^ stem
+                faces = faces_of.get(petal)
+                if faces is None:
+                    faces = faces_of[petal] = tuple(
+                        (face, petal & ~face) for face in subsets_of_size(petal, s - 1)
+                    )
                 slots = []
-                for face in subsets_of_size(petal, s - 1):
-                    slot = self.slot_of.setdefault(base | face, len(self.slot_of))
+                for face, bit in faces:
+                    slot = slot_of.setdefault(base | face, len(slot_of))
                     slots.append(slot)
-                    bits.append((slot, petal & ~face))
+                    bits.append((slot, bit))
                 stems.append((base, petal, tuple(slots)))
             self.bits.append(tuple(bits))
             self.stems.append(tuple(stems))
-        self.masks = [0] * len(self.slot_of)
+        self.masks = [0] * len(slot_of)
 
     def push(self, i: int) -> None:
         masks = self.masks

@@ -188,12 +188,11 @@ def restrict(M: Matroid, X: int) -> Matroid:
 class SimplificationMap:
     """How a matroid collapses to its simplification.
 
-    ``classes`` are the parallel classes (masks over the original ground
-    set) sorted by their representative, which is the smallest member.
-    Element i of the simplified matroid corresponds to classes[i].
+    ``representatives`` holds the smallest member of each parallel class,
+    in increasing order; element i of the simplified matroid is the class
+    of representatives[i].
     """
 
-    classes: tuple
     representatives: tuple
 
 
@@ -227,7 +226,7 @@ def simplify(M: Matroid):
     for b in M.bases:
         seen.add(mask_of(new_index[rep_of_elem[e]] for e in bit_indices(b)))
     simple = Matroid.from_bases(len(classes), sorted(seen), validate=False)
-    return simple, SimplificationMap(tuple(classes), reps)
+    return simple, SimplificationMap(reps)
 
 
 def is_simple(M: Matroid) -> bool:

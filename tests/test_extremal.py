@@ -29,7 +29,7 @@ from turan_matroids.geometry import (
     two_disjoint_lines,
     uniform,
 )
-from turan_matroids.hypergraphs import daisy_completed_by_edge
+from turan_matroids.hypergraphs import StemLinks, daisy_completed_by_edge
 from turan_matroids.matroid import (
     MatroidError,
     exchange_violation,
@@ -175,10 +175,11 @@ def test_search_full_exchange_checks_pinned(monkeypatch):
 
 
 # (calls, hits) of the incremental daisy check in the LEAF_CHECKS searches:
-# one call per edge added, in the prefixes and in the walk
+# one call per edge added in the prefixes and at the visited nodes; the
+# subtrees of (6, 3, 2, 5) that are counted without a visit add none
 DAISY_CHECKS = {
     (6, 3, 3, 4): (139_989, 50_545),
-    (6, 3, 2, 5): (288_158, 1_345),
+    (6, 3, 2, 5): (15_164, 1_345),
     (7, 2, 2, 3): (31_367, 16_853),
 }
 
@@ -218,6 +219,78 @@ def test_search_matches_oracle():
         for budget in (0, 1, 17, 777):
             opts = SearchOptions(max_nodes=budget)
             assert search_ex(*cell, opts) == search_ex_oracle(*cell, opts), (cell, budget)
+
+
+def test_search_budgets_ending_in_counted_subtrees(monkeypatch):
+    # (5, 3, 2, 4) and (6, 4, 2, 4) count whole subtrees without visiting
+    # them; a budget that ends inside one walks it instead, and the partial
+    # reports must still match the set-based walk
+    counted = []
+    walk_bound_tree = extremal._bound_tree
+
+    def bound_tree(rows, q, slack):
+        below, pruned = walk_bound_tree(rows, q, slack)
+        counted.append(below)
+        return below, pruned
+
+    cells = [((5, 3, 2, 4), range(990))]
+    rng = random.Random(6_4_2_4)
+    cells.append(((6, 4, 2, 4), sorted(rng.sample(range(21_389), 40))))
+    for cell, budgets in cells:
+        with monkeypatch.context() as patch:
+            patch.setattr(extremal, "_bound_tree", bound_tree)
+            counted.clear()
+            search_ex(*cell)
+        assert sum(counted) > len(counted) > 0, cell
+        for budget in budgets:
+            opts = SearchOptions(max_nodes=budget)
+            assert search_ex(*cell, opts) == search_ex_oracle(*cell, opts), (cell, budget)
+
+
+def _bound_tree_walk(q, slack):
+    """(nodes, pruned_bound) of the plain walk that ``_bound_tree``
+    counts: no leaf is accepted and no include is refused."""
+    if q == 0:
+        return 1, 0
+    if slack < 0:
+        return 1, 1
+    inc = _bound_tree_walk(q - 1, slack)
+    exc = _bound_tree_walk(q - 1, slack - 1)
+    return inc[0] + exc[0] + 1, inc[1] + exc[1]
+
+
+def test_bound_tree_matches_walk():
+    rows = []
+    for q in range(13):
+        for slack in range(-1, q + 2):
+            assert extremal._bound_tree(rows, q, slack) == _bound_tree_walk(q, slack), (q, slack)
+    # a fresh table gives the same counts in any order of queries
+    assert extremal._bound_tree([], 12, 5) == _bound_tree_walk(12, 5)
+
+
+def test_sparse_gates_match_stars():
+    # ceiling[idx] >= 0 exactly on the tested indices, and forbid[idx] is
+    # the union of the stars holding exactly C(t, s) - 1 edges from idx on
+    for n, r, s, t in ((6, 3, 2, 5), (6, 3, 1, 3), (6, 4, 2, 4), (7, 3, 2, 5), (5, 2, 2, 5)):
+        links = StemLinks(n, r, s, t)
+        m, k = len(links.edges), comb(t, s)
+        stars = list(links.stars.values())
+        assert sorted(stars) == sorted(
+            mask_of(i for i, e in enumerate(links.edges) if e & stem == stem)
+            for stem in map(mask_of, combinations(range(n), r - s))
+        )
+        dense = (k - 1) * len(stars) // comb(r, s)
+        for threshold in (0, dense, dense + 1):
+            ceiling, forbid = extremal._sparse_gates(links, threshold)
+            for idx in range(m):
+                loads = [(star >> idx).bit_count() for star in stars]
+                tested = threshold <= dense and idx <= m - 3 and max(loads) < k
+                assert ceiling[idx] == (dense if tested else -1), (n, r, s, t, idx)
+                if tested:
+                    held = [star for star, load in zip(stars, loads) if load == k - 1]
+                    assert forbid[idx] == mask_of(
+                        i for i in range(m) if any(star >> i & 1 for star in held)
+                    ), (n, r, s, t, idx)
 
 
 def test_search_forbidding_u11_finds_nothing():
