@@ -9,7 +9,6 @@ with verified certificates.
 from .matroid import (
     Matroid,
     MatroidError,
-    SimplificationMap,
     TheoremViolation,
     closure,
     connected_components,

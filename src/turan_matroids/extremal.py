@@ -2,25 +2,26 @@
 forbidden uniform minor, binary subset maximization, and truncation probes.
 
 The generic backend walks all subsets of the r-subsets of [n] in fixed
-lexicographic order, pruning branches that (a) already contain the
-forbidden daisy (daisy presence is monotone under edge insertion) or
-(b) cannot beat the incumbent count.  The chosen family is one
-int over edge indices.  The daisy test reads a ``hypergraphs.StemLinks``
-state, one vertex mask per (r - s)-stem and (s - 1)-set holding the
-stem's link, which the walk updates as it adds and removes each edge, so
-no test rescans the family.  The exchange property is *not*
-prefix-monotone, so it is tested only on completed families.  Consecutive
-leaves differ only in their last-decided edges, so a leaf first re-checks
-the last exchange witness found in its subtree, as two edge-index masks
-(``_witness_masks``), and gets the full check only when that witness no
-longer refutes it.  A subtree that can change nothing, because that
-witness refutes every leaf in it and no stem lies in C(t, s) of the edges
-it may still choose (``StemLinks.stars``), is counted in closed form
-(``_bound_tree``) instead of walked, and so is an exclude child that the
-bound prunes; the node counts and the budget are those of the full walk.
-The tree is split at a fixed depth into subtrees that run in fixed order
-under one node budget, each getting whatever its predecessors left
-unspent, so results and counters are deterministic.
+lexicographic order, depth first in one loop (``_subtree_search``),
+pruning branches that (a) already contain the forbidden daisy (daisy
+presence is monotone under edge insertion) or (b) cannot reach the
+incumbent count, a test made once per node in that loop.  The chosen
+family is one int over edge indices.  The daisy test reads a
+``hypergraphs.StemLinks`` state, one vertex mask per (r - s)-stem and
+(s - 1)-set holding the stem's link, which the walk updates as it adds
+and removes each edge, so no test rescans the family.  The exchange
+property is *not* prefix-monotone, so it is tested only on completed
+families.  Consecutive leaves differ only in their last-decided edges,
+so a leaf first re-checks the last exchange witness found in its
+subtree, as two edge-index masks (``_witness_masks``), and gets the full
+check only when that witness no longer refutes it.  A subtree that can
+change nothing, because that witness refutes every leaf in it and no
+stem lies in C(t, s) of the edges it may still choose
+(``StemLinks.stars``), is counted in closed form (``_bound_tree``)
+instead of walked; the node counts and the budget are those of the full
+walk.  The tree is split at a fixed depth into subtrees that run in
+fixed order under one node budget, each getting whatever its
+predecessors left unspent, so results and counters are deterministic.
 """
 
 from __future__ import annotations
@@ -92,14 +93,10 @@ class SearchReport:
     bose_burton_attains: bool | None = None
 
 
-def _loops_matroid(k: int) -> Matroid:
-    return Matroid.from_bases(k, [0], validate=False)
-
-
 def _with_loops(M: Matroid, total: int) -> Matroid:
     if M.n == total:
         return M
-    return direct_sum(M, _loops_matroid(total - M.n))
+    return direct_sum(M, uniform(0, total - M.n))
 
 
 def _balanced_parts(n: int, parts: int):
@@ -264,15 +261,18 @@ def _bound_tree(rows, q: int, slack: int):
 
 
 def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, cap):
-    """DFS one fixed prefix of include/exclude decisions, counting at most
-    ``budget`` >= 1 nodes; returns
+    """Walk one fixed prefix of include/exclude decisions depth first in
+    one loop, counting at most ``budget`` >= 1 nodes; returns
     (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted).
 
-    The chosen family is a mask over indices into ``links.edges`` with a
-    running count.  Every chosen edge is pushed onto ``links``, in the
-    prefix and in the DFS, and popped when the DFS backtracks, so the
-    daisy test of each new edge reads the current links of the stems
-    inside it; ``links`` is left empty on return.
+    A node is (idx, fam, count): the edge to decide, the chosen family as a
+    mask over indices into ``links.edges``, and its size.  Every chosen
+    edge is pushed onto ``links``, so the daisy test of each new edge reads
+    the current links of the stems inside it.  When a subtree is done, the
+    walk pops its last included edge and goes on to that node's exclude
+    child; a budget stop pops them all, so ``links`` is left empty.  The
+    walk's one bound test prunes a node with edges left that cannot reach
+    the incumbent even by taking all of them.
 
     A leaf that could match the incumbent is rejected at once when the
     last ("exchange", B1, B2, x) witness returned by ``exchange_violation``
@@ -297,10 +297,6 @@ def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, 
     edges = links.edges
     n, m = links.n, len(edges)
     push, pop = links.push, links.pop
-    nodes = 0
-    pruned_daisy = 0
-    pruned_bound = 0
-    exhausted = False
     prefix = [i for i in range(depth) if prefix_bits >> i & 1]
     for j, i in enumerate(prefix):
         push(i)
@@ -345,51 +341,54 @@ def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, 
         if len(witnesses) < cap:
             witnesses.append(tuple(sorted(family)))
 
-    def dfs(idx, fam, count):
-        # a node the bound keeps: its include child has the same count
-        # plus edges left, so only its exclude child can be pruned, and
-        # that is counted here without a call
-        nonlocal nodes, pruned_daisy, pruned_bound, exhausted
+    nodes = pruned_daisy = pruned_bound = 0
+    exhausted = False
+    idx, fam, count = depth, mask_of(prefix), len(prefix)
+    included = []  # the edges the walk has included, in order
+    while True:
         if nodes >= budget:
             exhausted = True
-            return
+            break
         nodes += 1
-        if idx == m:
-            leaf(fam, count)
-            return
         left = m - idx
-        if count + left <= ceiling[idx] and not fam & forbid[idx] and fam & need == need:
-            upper = fam | full >> idx << idx
-            if (
-                not upper & repair
-                and (stars[hot] & upper).bit_count() < min_edges
-                and sparse(upper)
-            ):
-                below, bound = _bound_tree(rows, left, count + left - best)
-                if nodes + below - 1 <= budget:
-                    nodes += below - 1
-                    pruned_bound += bound
-                    return
-        push(idx)
-        if daisy_completed_by_edge(links, idx):
-            pruned_daisy += 1
-        else:
-            dfs(idx + 1, fam | 1 << idx, count + 1)
-        pop(idx)
-        if left == 1 or count + left > best:
-            dfs(idx + 1, fam, count)
-        elif nodes < budget:
-            nodes += 1
+        if not left:
+            leaf(fam, count)
+        elif count + left < best:
             pruned_bound += 1
         else:
-            exhausted = True
-
-    count = len(prefix)
-    if depth == m or count + m - depth >= best:
-        dfs(depth, mask_of(prefix), count)
-    else:  # the bound prunes the root
-        nodes, pruned_bound = 1, 1
-    for i in prefix:
+            below = 0
+            if count + left <= ceiling[idx] and not fam & forbid[idx] and fam & need == need:
+                upper = fam | full >> idx << idx
+                if (
+                    not upper & repair
+                    and (stars[hot] & upper).bit_count() < min_edges
+                    and sparse(upper)
+                ):
+                    below, bound = _bound_tree(rows, left, count + left - best)
+            if 0 < below <= budget - nodes + 1:
+                nodes += below - 1
+                pruned_bound += bound
+            else:
+                push(idx)
+                if daisy_completed_by_edge(links, idx):
+                    pruned_daisy += 1
+                    pop(idx)
+                else:
+                    included.append(idx)
+                    fam |= 1 << idx
+                    count += 1
+                idx += 1
+                continue
+        # the subtree below this node is done: next is the exclude child of
+        # the last included edge
+        if not included:
+            break
+        i = included.pop()
+        pop(i)
+        fam ^= 1 << i
+        count -= 1
+        idx = i + 1
+    for i in included + prefix:
         pop(i)
     return (best, witnesses, nodes, pruned_daisy, pruned_bound, exhausted)
 

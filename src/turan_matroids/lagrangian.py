@@ -161,7 +161,7 @@ def maximize(
     if M.r == 0:
         raise MatroidError("rank-0 matroid: every element is a loop")
     exact_bound = None if bound_t is None else u2_lagrangian_bound(M.r, bound_t)
-    simple, smap = simplify(M)
+    simple, reps = simplify(M)
     rng = np.random.default_rng(seed)
     starts = [np.full(simple.n, 1.0 / simple.n)]
     for _ in range(restarts):
@@ -175,7 +175,7 @@ def maximize(
     value, x_simple, iterations, converged = outcomes[best_idx]
 
     argmax = np.zeros(M.n)
-    for i, rep in enumerate(smap.representatives):
+    for i, rep in enumerate(reps):
         argmax[rep] = x_simple[i]
     value = poly_eval(M, argmax)
 

@@ -184,55 +184,29 @@ def restrict(M: Matroid, X: int) -> Matroid:
     return Matroid.from_bases(X.bit_count(), bases, validate=False)
 
 
-@dataclass(frozen=True)
-class SimplificationMap:
-    """How a matroid collapses to its simplification.
-
-    ``representatives`` holds the smallest member of each parallel class,
-    in increasing order; element i of the simplified matroid is the class
-    of representatives[i].
-    """
-
-    representatives: tuple
-
-
-def parallel(M: Matroid, e: int, f: int) -> bool:
-    """Non-loops are parallel when no basis contains both."""
-    be, bf = 1 << e, 1 << f
-    return not any(b & be and b & bf for b in M.bases)
-
-
 def simplify(M: Matroid):
-    """Return (simple matroid, SimplificationMap).
+    """Return (simple matroid, representatives).
 
-    Drops loops and keeps the smallest element of each parallel class; the
-    rank is unchanged.
+    Drops loops and keeps the smallest element of each parallel class, in
+    increasing order; element i of the simple matroid is the class of
+    representatives[i].  The class of a non-loop e is its closure minus the
+    loops.  The rank is unchanged.
     """
     loops = loops_mask(M)
-    unassigned = [e for e in range(M.n) if not loops & (1 << e)]
+    unassigned = M.full_mask & ~loops
     classes = []
     while unassigned:
-        rep = unassigned[0]
-        cls = [rep] + [f for f in unassigned[1:] if parallel(M, rep, f)]
-        classes.append(mask_of(cls))
-        unassigned = [f for f in unassigned if f not in set(cls)]
-    reps = tuple(min(bit_indices(c)) for c in classes)
-    new_index = {rep: i for i, rep in enumerate(reps)}
-    rep_of_elem = {}
-    for c, rep in zip(classes, reps):
-        for e in bit_indices(c):
-            rep_of_elem[e] = rep
-    seen = set()
-    for b in M.bases:
-        seen.add(mask_of(new_index[rep_of_elem[e]] for e in bit_indices(b)))
-    simple = Matroid.from_bases(len(classes), sorted(seen), validate=False)
-    return simple, SimplificationMap(reps)
+        cls = closure(M, unassigned & -unassigned) & ~loops
+        classes.append(cls)
+        unassigned &= ~cls
+    reps = tuple((c & -c).bit_length() - 1 for c in classes)
+    label = {e: i for i, c in enumerate(classes) for e in bit_indices(c)}
+    seen = {mask_of(label[e] for e in bit_indices(b)) for b in M.bases}
+    return Matroid.from_bases(len(classes), sorted(seen), validate=False), reps
 
 
 def is_simple(M: Matroid) -> bool:
-    if loops_mask(M):
-        return False
-    return all(not parallel(M, e, f) for e in range(M.n) for f in range(e + 1, M.n))
+    return not loops_mask(M) and all(closure(M, 1 << e) == 1 << e for e in range(M.n))
 
 
 def direct_sum(M1: Matroid, M2: Matroid) -> Matroid:

@@ -27,6 +27,7 @@ from turan_matroids.matroid import (
     closure,
     delete,
     exchange_violation,
+    loops_mask,
     parallel_blowup,
     rank_of,
     validate_exchange,
@@ -224,6 +225,27 @@ def closure_oracle(M: Matroid, X: int) -> int:
         if not X & bit and rank_of(M, X | bit) == rx:
             out |= bit
     return out
+
+
+def simplify_oracle(M: Matroid):
+    """``matroid.simplify`` by pairwise tests: non-loops e and f are
+    parallel when no basis contains both.  Returns (simple matroid,
+    representatives), the smallest member of each class in increasing
+    order."""
+    loops = loops_mask(M)
+    unassigned = [e for e in range(M.n) if not loops >> e & 1]
+    classes = []
+    while unassigned:
+        rep = unassigned[0]
+        cls = [rep] + [
+            f for f in unassigned[1:] if not any(b >> rep & 1 and b >> f & 1 for b in M.bases)
+        ]
+        classes.append(cls)
+        unassigned = [f for f in unassigned if f not in cls]
+    label = {e: i for i, cls in enumerate(classes) for e in cls}
+    seen = {mask_of(label[e] for e in bit_indices(b)) for b in M.bases}
+    simple = Matroid.from_bases(len(classes), sorted(seen), validate=False)
+    return simple, tuple(cls[0] for cls in classes)
 
 
 def restrict_oracle(M: Matroid, X: int) -> Matroid:

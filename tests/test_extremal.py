@@ -111,7 +111,7 @@ def test_search_budget_is_global():
 
 def test_rank3_search_budget_is_exact():
     # each full rank-3 search visits 8,783 nodes; (3, 4) keeps inherited
-    # arcs at most of its nodes and (2, 4) reads line counts
+    # arcs at most of its nodes and (2, 4) carries fan witnesses
     for s, t in ((3, 5), (3, 4), (2, 4)):
         report = search_ex_rank3(7, s, t, SearchOptions(max_nodes=8_783))
         assert report.exhaustive and report.nodes_explored == 8_783, (s, t)
@@ -144,6 +144,24 @@ def test_search_counters_pinned():
     for (n, r, s, t), expected in SEARCH_COUNTERS.items():
         rep = search_ex(n, r, s, t)
         assert rep.exhaustive
+        assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == expected
+
+
+# (max_bases, nodes_explored, pruned_daisy, pruned_bound) of partial
+# searches under the given budgets whose include/exclude trees, 1,716,
+# 1,225 and 2,016 edges deep, are deeper than Python's default recursion
+# limit
+DEEP_CELLS = {
+    (13, 6, 3, 4, 20_000): (360, 20_000, 9_877, 0),
+    (50, 2, 2, 50, 5_000): (1_223, 5_000, 0, 2_444),
+    (64, 2, 2, 64, 5_000): (2_014, 5_000, 0, 2_015),
+}
+
+
+def test_search_deep_trees_stop_at_the_budget():
+    for (*cell, budget), expected in DEEP_CELLS.items():
+        rep = search_ex(*cell, SearchOptions(max_nodes=budget))
+        assert not rep.exhaustive
         assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == expected
 
 

@@ -443,6 +443,15 @@ def test_cli_zero_node_budget_is_partial():
     assert "nodes 0 " in out and "exhaustive no" in out
 
 
+def test_cli_search_deeper_than_the_recursion_limit_is_partial():
+    # 1,716 edges: the include/exclude tree is deeper than Python's default
+    # recursion limit, and the walk must still stop at the budget
+    argv = ["search", "--n", "13", "--r", "6", "--forbid", "3,4", "--max-nodes", "20000"]
+    code, out = run_cli(argv)
+    assert code == 0
+    assert "exhaustive no" in out
+
+
 @pytest.mark.parametrize("r, forbid", [("2", "1,1"), ("2", "2,2"), ("3", "3,3")])
 def test_cli_forbid_s_equals_t_finds_nothing(r, forbid):
     # a matroid of rank r >= s has a U(s, s)-minor, so no family survives;

@@ -51,22 +51,23 @@ def test_no_unused_imports(name):
     assert unused_imports(SOURCES[name].read_text()) == []
 
 
-def test_reexports_are_read_by_the_package():
-    # a function or class that only __init__ and the tests reach is dead
-    # weight in the package; daisy is exempt as the paper's forbidden
+def test_public_names_are_read_by_the_package():
+    # a public function or class that only __init__ and the tests reach is
+    # dead weight in the package; daisy is exempt as the paper's forbidden
     # hypergraph, which the package detects but never builds
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = {
-        alias.asname or alias.name
-        for node in ast.walk(init)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    read = set()
+    defined, read = set(), set()
     for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            read |= names_read(ast.parse(path.read_text()))
-    assert sorted(exported - read - {"daisy"}) == []
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        defined |= {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+        read |= names_read(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(defined - read - {"daisy"}) == []
 
 
 def test_oracles_import_no_private_names():

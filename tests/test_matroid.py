@@ -21,7 +21,6 @@ from turan_matroids.matroid import (
     is_coloop,
     is_simple,
     loops_mask,
-    parallel,
     parallel_blowup,
     rank_of,
     restrict,
@@ -39,6 +38,7 @@ from oracles import (
     exchange_violation_oracle,
     exchange_witness_refutes,
     restrict_oracle,
+    simplify_oracle,
 )
 
 
@@ -193,22 +193,19 @@ def test_contract_uniform():
     assert contract(uniform(3, 6), 0).bases == uniform(2, 5).bases
 
 
-def _class_sizes(M, smap):
+def _class_sizes(M, reps):
     """The sizes of the parallel classes of the non-loops of M, one per
-    representative of ``smap``."""
+    representative in ``reps``."""
     loops = loops_mask(M)
-    return sorted(
-        sum(f == rep or not loops >> f & 1 and parallel(M, rep, f) for f in range(M.n))
-        for rep in smap.representatives
-    )
+    return sorted((closure(M, 1 << rep) & ~loops).bit_count() for rep in reps)
 
 
 def test_contract_fano_simplifies_to_triangle():
     pg = projective_geometry(3, 2)
     contracted = contract(pg, 0)
-    simple, smap = simplify(contracted)
+    simple, reps = simplify(contracted)
     assert simple.bases == uniform(2, 3).bases
-    assert _class_sizes(contracted, smap) == [2, 2, 2]
+    assert _class_sizes(contracted, reps) == [2, 2, 2]
 
 
 @given(linear_matroids(min_n=3))
@@ -226,17 +223,17 @@ def test_delete_contract_commute_on_disjoint_elements(M):
 
 def test_simplify_already_simple():
     M = uniform(2, 3)
-    simple, smap = simplify(M)
+    simple, reps = simplify(M)
     assert simple == M
-    assert smap.representatives == tuple(range(M.n)) and _class_sizes(M, smap) == [1] * M.n
+    assert reps == tuple(range(M.n)) and _class_sizes(M, reps) == [1] * M.n
 
 
 def test_blowup_then_simplify_roundtrip():
     M = uniform(2, 3)
     blown = parallel_blowup(M, [2, 2, 2])
-    simple, smap = simplify(blown)
+    simple, reps = simplify(blown)
     assert simple.bases == M.bases
-    assert _class_sizes(blown, smap) == [2, 2, 2]
+    assert _class_sizes(blown, reps) == [2, 2, 2]
 
 
 def test_direct_sum_counts():
@@ -384,6 +381,22 @@ def test_simplify_preserves_rank_and_simplicity(M):
     simple, _ = simplify(M)
     assert simple.r == M.r
     assert is_simple(simple)
+
+
+def _assert_simplify_matches_oracle(M):
+    simple, reps = simplify_oracle(M)
+    assert simplify(M) == (simple, reps), M
+    assert is_simple(M) == (simple == M), M
+
+
+@given(linear_matroids())
+def test_simplify_matches_oracle_on_linear_matroids(M):
+    _assert_simplify_matches_oracle(M)
+
+
+def test_simplify_matches_oracle():
+    for M in oracle_matroids():
+        _assert_simplify_matches_oracle(M)
 
 
 def oracle_subsets(M, rng):
