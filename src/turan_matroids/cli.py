@@ -46,7 +46,7 @@ from .geometry import (
     uniform,
 )
 from .lagrangian import maximize
-from .matroid import Matroid, MatroidError, TheoremViolation, parallel_blowup
+from .matroid import MAX_GROUND_SET, Matroid, MatroidError, TheoremViolation, parallel_blowup
 from .minors import has_uniform_minor, has_uniform_restriction
 from .rank3 import (
     TwoLines,
@@ -103,6 +103,8 @@ def _n_range(text: str) -> range:
         raise MatroidError(f"--n-range expects two integers lo:hi, got {text!r}") from None
     if lo > hi:
         raise MatroidError(f"--n-range {text!r} is empty: lo exceeds hi")
+    if hi > MAX_GROUND_SET:
+        raise MatroidError(f"--n-range {text!r} goes past the largest ground set, {MAX_GROUND_SET}")
     return range(lo, hi + 1)
 
 

@@ -6,10 +6,11 @@ lexicographic order, depth first in one loop (``_subtree_search``),
 pruning branches that (a) already contain the forbidden daisy (daisy
 presence is monotone under edge insertion) or (b) cannot reach the
 incumbent count, a test made once per node in that loop.  The chosen
-family is one int over edge indices.  The daisy test reads a
-``hypergraphs.StemLinks`` state, one vertex mask per (r - s)-stem and
-(s - 1)-set holding the stem's link, which the walk updates as it adds
-and removes each edge, so no test rescans the family.  The exchange
+family is one int over edge indices, and it is the walk's only family
+state.  Edges are decided in increasing order, so an edge is tested only
+against chosen edges below it, and any daisy it completes has it as its
+highest edge; the test reads the family against that edge's row of
+``hypergraphs.DaisyRows``, built on the edge's first test.  The exchange
 property is *not* prefix-monotone, so it is tested only on completed
 families.  Consecutive leaves differ only in their last-decided edges,
 so a leaf first re-checks the last exchange witness found in its
@@ -17,7 +18,7 @@ subtree, as two edge-index masks (``_witness_masks``), and gets the full
 check only when that witness no longer refutes it.  A subtree that can
 change nothing, because that witness refutes every leaf in it and no
 stem lies in C(t, s) of the edges it may still choose
-(``StemLinks.stars``), is counted in closed form (``_bound_tree``)
+(``DaisyRows.stars``), is counted in closed form (``_bound_tree``)
 instead of walked; the node counts and the budget are those of the full
 walk.  The tree is split at a fixed depth into subtrees that run in
 fixed order under one node budget, each getting whatever its
@@ -45,7 +46,7 @@ from .geometry import (
     two_disjoint_lines,
     uniform,
 )
-from .hypergraphs import StemLinks, daisy_completed_by_edge
+from .hypergraphs import DaisyRows, daisy_completed_by_edge
 from .matroid import (
     MAX_GROUND_SET,
     Matroid,
@@ -190,13 +191,13 @@ def _witness_masks(witness, index):
     return need, repair
 
 
-def _sparse_gates(links, threshold):
+def _sparse_gates(rows, threshold):
     """Where the generic search tests that no daisy can complete below a
     node, and what the chosen family must miss for the test to pass.
 
     At the node that decides edge idx, ``upper`` is the chosen family and
     every edge from idx on.  The test passes when every stem lies in
-    fewer than k = C(t, s) edges of ``upper`` (``links.stars``).  Returns
+    fewer than k = C(t, s) edges of ``upper`` (``rows.stars``).  Returns
     (ceiling, forbid), each indexed by idx:
 
     - ceiling[idx] is the most edges ``upper`` may hold, or -1 where the
@@ -211,14 +212,14 @@ def _sparse_gates(links, threshold):
     - forbid[idx] is the union of the stars that hold exactly k - 1 of
       the edges from idx on; the chosen family must miss them.
     """
-    edges = links.edges
-    m, k = len(edges), comb(links.t, links.s)
-    dense = (k - 1) * len(links.stars) // comb(edges[0].bit_count(), links.s)
+    edges = rows.edges
+    m, k = len(edges), comb(rows.t, rows.s)
+    dense = (k - 1) * len(rows.stars) // comb(edges[0].bit_count(), rows.s)
     ceiling, forbid = [-1] * m, [0] * m
     if dense < threshold:
         return ceiling, forbid
     first, spans = 0, []
-    for star in links.stars.values():
+    for star in rows.stars.values():
         # drop the k - 1 highest edges; fewer than k are left from idx on
         # exactly when idx >= top.bit_length()
         top = star
@@ -260,19 +261,21 @@ def _bound_tree(rows, q: int, slack: int):
     return rows[q][min(slack, q) + 1]
 
 
-def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, cap):
+def _subtree_search(rows, gates, prefix_bits, depth, threshold, budget, cap):
     """Walk one fixed prefix of include/exclude decisions depth first in
     one loop, counting at most ``budget`` >= 1 nodes; returns
     (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted).
 
     A node is (idx, fam, count): the edge to decide, the chosen family as a
-    mask over indices into ``links.edges``, and its size.  Every chosen
-    edge is pushed onto ``links``, so the daisy test of each new edge reads
-    the current links of the stems inside it.  When a subtree is done, the
-    walk pops its last included edge and goes on to that node's exclude
-    child; a budget stop pops them all, so ``links`` is left empty.  The
-    walk's one bound test prunes a node with edges left that cannot reach
-    the incumbent even by taking all of them.
+    mask over indices into ``rows.edges``, and its size.  The prefix loop
+    and the walk both test an edge against chosen edges of lower index
+    only, which is the precondition of the rows: any daisy that edge idx
+    completes has idx as its highest edge, so it is in row idx
+    (``DaisyRows``), and the test reads ``fam`` against that row alone.
+    When a subtree is done, the walk drops the highest chosen edge at or
+    above ``depth``, its last include, and goes on to that node's exclude
+    child.  The walk's one bound test prunes a node with edges left that
+    cannot reach the incumbent even by taking all of them.
 
     A leaf that could match the incumbent is rejected at once when the
     last ("exchange", B1, B2, x) witness returned by ``exchange_violation``
@@ -294,16 +297,15 @@ def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, 
     most failing nodes before the stars are read.  So the search counts
     and keeps exactly what a full check at every leaf of the whole tree
     would."""
-    edges = links.edges
-    n, m = links.n, len(edges)
-    push, pop = links.push, links.pop
-    prefix = [i for i in range(depth) if prefix_bits >> i & 1]
-    for j, i in enumerate(prefix):
-        push(i)
-        if daisy_completed_by_edge(links, i):
-            for pushed in prefix[: j + 1]:
-                pop(pushed)
-            return (threshold, [], 1, 1, 0, False)
+    edges, index = rows.edges, rows.index
+    n, m = rows.n, len(edges)
+    fam = count = 0
+    for i in range(depth):
+        if prefix_bits >> i & 1:
+            if daisy_completed_by_edge(rows, fam, i):
+                return (threshold, [], 1, 1, 0, False)
+            fam |= 1 << i
+            count += 1
     best = threshold
     witnesses = []
     # the last exchange witness found in this subtree; until there is one,
@@ -311,10 +313,10 @@ def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, 
     need, repair = 1 << m, 0
     full = (1 << m) - 1
     ceiling, forbid = gates
-    stars = list(links.stars.values())
-    min_edges = comb(links.t, links.s)
+    stars = list(rows.stars.values())
+    min_edges = comb(rows.t, rows.s)
     hot = 0  # the star that last held C(t, s) edges of ``upper``
-    rows = []
+    tree_rows = []  # the table of _bound_tree
 
     def sparse(upper):
         nonlocal hot
@@ -343,8 +345,7 @@ def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, 
 
     nodes = pruned_daisy = pruned_bound = 0
     exhausted = False
-    idx, fam, count = depth, mask_of(prefix), len(prefix)
-    included = []  # the edges the walk has included, in order
+    idx = depth
     while True:
         if nodes >= budget:
             exhausted = True
@@ -364,32 +365,25 @@ def _subtree_search(links, index, gates, prefix_bits, depth, threshold, budget, 
                     and (stars[hot] & upper).bit_count() < min_edges
                     and sparse(upper)
                 ):
-                    below, bound = _bound_tree(rows, left, count + left - best)
+                    below, bound = _bound_tree(tree_rows, left, count + left - best)
             if 0 < below <= budget - nodes + 1:
                 nodes += below - 1
                 pruned_bound += bound
             else:
-                push(idx)
-                if daisy_completed_by_edge(links, idx):
+                if daisy_completed_by_edge(rows, fam, idx):
                     pruned_daisy += 1
-                    pop(idx)
                 else:
-                    included.append(idx)
                     fam |= 1 << idx
                     count += 1
                 idx += 1
                 continue
         # the subtree below this node is done: next is the exclude child of
-        # the last included edge
-        if not included:
+        # the last included edge, the highest chosen edge past the prefix
+        if fam >> depth == 0:
             break
-        i = included.pop()
-        pop(i)
-        fam ^= 1 << i
+        idx = fam.bit_length()
+        fam ^= 1 << idx - 1
         count -= 1
-        idx = i + 1
-    for i in included + prefix:
-        pop(i)
     return (best, witnesses, nodes, pruned_daisy, pruned_bound, exhausted)
 
 
@@ -401,8 +395,8 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     a valid candidate, so ties with it are still collected).  The prefix
     subtrees share ``opts.max_nodes`` in fixed order; once it is spent the
     remaining subtrees are skipped and the report is partial
-    (exhaustive=False).  They also share one ``StemLinks`` state, which
-    each leaves empty.
+    (exhaustive=False).  They also share one ``DaisyRows``, so an edge's
+    row is built once, on its first daisy test in any subtree.
     """
     opts = opts or SearchOptions()
     if not (1 <= s <= t):
@@ -418,9 +412,8 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
         return SearchReport(n, r, s, t, m, witnesses, 1, 0, 0, True)
     seed = best_known_construction(n, r, s, t)
     threshold = seed.basis_count if seed is not None else 0
-    links = StemLinks(n, r, s, t)
-    index = {e: i for i, e in enumerate(links.edges)}
-    gates = _sparse_gates(links, threshold)
+    rows = DaisyRows(n, r, s, t)
+    gates = _sparse_gates(rows, threshold)
 
     depth = min(SPLIT_DEPTH, m)
     left = opts.max_nodes
@@ -428,9 +421,7 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     for prefix in range(1 << depth):
         if left <= 0:
             break
-        res = _subtree_search(
-            links, index, gates, prefix, depth, threshold, left, opts.witness_cap
-        )
+        res = _subtree_search(rows, gates, prefix, depth, threshold, left, opts.witness_cap)
         results.append(res)
         left -= res[2]
     exhaustive = len(results) == 1 << depth and not any(res[5] for res in results)

@@ -5,12 +5,13 @@ edges are S union X for a fixed d-set S (d = r - s) and all s-subsets X of
 a fixed t-set T disjoint from S.  It equals the rank-r suspension of the
 complete s-graph on t vertices.
 
-``StemLinks`` keeps every stem's link, as one vertex mask per stem and
-(s-1)-set, in a family of edges that changes one edge at a time, and
-``daisy_completed_by_edge`` asks it whether the last edge added completed
-a daisy; the extremal search uses the pair.  ``has_daisy`` builds the same
-masks for one stem at a time.  Both detectors grow petal sets with one
-search, ``_petals_extend``.
+``has_daisy`` looks for a daisy in a whole hypergraph: it builds each
+stem's link as one vertex mask per (s-1)-set and grows petal sets with
+``_petals_extend``.  ``daisy_completed_by_edge`` asks whether an edge
+completes a daisy with a family of lower edges of the complete k-graph,
+whose edges are indexed in lexicographic order: such a daisy has that
+edge as its highest edge, so the test reads the family, a mask over
+edge indices, against that edge's row of ``DaisyRows``.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ def has_daisy(H: UniformHypergraph, s: int, t: int):
     Returns (found, (stem_mask, petal_vertex_mask) or None), with the
     least stem and then the least t-set T* by ascending element lists.
     One pass over the edges builds the link of every (k-s)-subset (stem)
-    of an edge.  A stem with C(t, s) or more link members gets the vertex
-    masks of ``StemLinks``, keyed by the (s-1)-set alone, and its members
-    P are extended by ``_petals_extend`` over the vertices above max P,
-    in lexicographic order.  T* is a member P0 and then vertices above
-    max P0, and a t-set that began with an earlier member would precede
-    T*; so P0 is the first member that extends, and its least extension,
-    a mask, is T*.
+    of an edge.  A stem with C(t, s) or more link members gets one mask
+    per (s-1)-set F, at ``slot_of[F]``, of the vertices u with F | {u} in
+    the link, and its members P are extended by ``_petals_extend`` over
+    the vertices above max P, in lexicographic order.  T* is a member P0
+    and then vertices above max P0, and a t-set that began with an earlier
+    member would precede T*; so P0 is the first member that extends, and
+    its least extension, a mask, is T*.
     """
     if not 1 <= s <= H.k or t < s:
         raise MatroidError("need 1 <= s <= k and t >= s")
@@ -101,77 +102,18 @@ def has_daisy(H: UniformHypergraph, s: int, t: int):
             cand = -(1 << petal.bit_length())
             for slot in slots:
                 cand &= masks[slot]
-            got = _petals_extend(masks, slot_of, s, 0, petal, cand, t - s)
+            got = _petals_extend(masks, slot_of, s, petal, cand, t - s)
             if got:
                 return True, (stem, got)
     return False, None
 
 
-class StemLinks:
-    """The link of every (k - s)-set (stem) in a family of k-subsets of
-    [n] that gains and loses one edge at a time, for (s, t) daisy checks.
-
-    Edges are named by their index in ``edges``, the k-subsets of [n] in
-    lexicographic order.  A stem S and an (s-1)-set F disjoint from it
-    have a slot, ``slot_of[S << n | F]``, and ``masks[slot]`` is the mask
-    of the vertices u for which S | F | {u} is in the family.  Edge e owns
-    one bit in each of C(k, s) * s slots: bit u of the slot of
-    (S, e - S - u), for every stem S inside e and u in e - S.  ``push``
-    ORs those bits in and ``pop`` XORs them out; no two edges own the same
-    bit, so edges may be popped in any order.  ``stems[i]`` lists, per
-    stem S inside edge i in lexicographic order, the key base S << n, the
-    petal e - S as a mask and the slots of the petal's (s-1)-subsets.
-    ``stars[S]`` is the mask of the indices of the edges that contain the
-    stem S.
-    """
-
-    def __init__(self, n: int, k: int, s: int, t: int):
-        if not 1 <= s <= k or t < s:
-            raise MatroidError("need 1 <= s <= k and t >= s")
-        self.n, self.s, self.t = n, s, t
-        self.edges = [mask_of(c) for c in combinations(range(n), k)]
-        self.slot_of = slot_of = {}
-        self.bits = []
-        self.stems = []
-        self.stars = stars = {}
-        faces_of = {}  # petal -> its (s-1)-subsets F, each with petal - F
-        for i, edge in enumerate(self.edges):
-            bits, stems, own = [], [], 1 << i
-            for stem in subsets_of_size(edge, k - s):
-                stars[stem] = stars.get(stem, 0) | own
-                base, petal = stem << n, edge ^ stem
-                faces = faces_of.get(petal)
-                if faces is None:
-                    faces = faces_of[petal] = tuple(
-                        (face, petal & ~face) for face in subsets_of_size(petal, s - 1)
-                    )
-                slots = []
-                for face, bit in faces:
-                    slot = slot_of.setdefault(base | face, len(slot_of))
-                    slots.append(slot)
-                    bits.append((slot, bit))
-                stems.append((base, petal, tuple(slots)))
-            self.bits.append(tuple(bits))
-            self.stems.append(tuple(stems))
-        self.masks = [0] * len(slot_of)
-
-    def push(self, i: int) -> None:
-        masks = self.masks
-        for slot, bit in self.bits[i]:
-            masks[slot] |= bit
-
-    def pop(self, i: int) -> None:
-        masks = self.masks
-        for slot, bit in self.bits[i]:
-            masks[slot] ^= bit
-
-
-def _petals_extend(masks, slot_of, s: int, base: int, chosen: int, cand: int, need: int) -> int:
+def _petals_extend(masks, slot_of, s: int, chosen: int, cand: int, need: int) -> int:
     """The least petal set, as a mask, made of ``chosen`` and ``need``
     members of ``cand``; 0 if there is none.
 
-    ``masks[slot_of[base | F]]`` is the vertex mask of the (s-1)-set F in
-    the stem's link, as in ``StemLinks``.  ``cand`` holds the vertices u
+    ``masks[slot_of[F]]`` is the vertex mask of the (s-1)-set F in
+    the stem's link, as in ``has_daisy``.  ``cand`` holds the vertices u
     outside the stem and ``chosen`` for which every s-subset of ``chosen``
     | {u} is in the link.  With ``need`` <= 1 or s = 1 the lowest ``need``
     bits of ``cand`` complete it.  Otherwise vertices are added in
@@ -193,33 +135,86 @@ def _petals_extend(masks, slot_of, s: int, base: int, chosen: int, cand: int, ne
         cand ^= low
         rest = cand
         for face in faces:
-            rest &= masks[slot_of[base | face | low]]
+            rest &= masks[slot_of[face | low]]
         if rest.bit_count() >= need - 1:
-            got = _petals_extend(masks, slot_of, s, base, chosen | low, rest, need - 1)
+            got = _petals_extend(masks, slot_of, s, chosen | low, rest, need - 1)
             if got:
                 return got
     return 0
 
 
-def daisy_completed_by_edge(links: StemLinks, i: int) -> bool:
-    """Does the family held in ``links`` contain an (s, t) daisy through
-    edge ``i``?
+class DaisyRows(dict):
+    """Per edge i, the daisies of the complete k-graph on [n] whose
+    highest edge is edge i, for (s, t) daisy tests of edges taken in
+    increasing order; ``self[i]`` is row i, built on first use.
 
-    Edge ``i`` must already be pushed.  When the family without it has no
-    daisy, this says whether adding it created one: daisy presence is
-    monotone under edge insertion, so only daisies using edge ``i`` need
-    checking.  For each stem S inside the edge, the petal set must contain
-    the rest P of the edge and t - s vertices of the AND of the masks of
-    P's (s-1)-subsets; for s = 1 any t - 1 of them will do.
+    Edges are named by their index in ``edges``, the k-subsets of [n] in
+    lexicographic order, where A precedes B exactly when min(A ^ B) lies
+    in A.  So the highest edge of the daisy with stem S and petal set T is
+    S | P, P the s largest vertices of T, and the other vertices U of T
+    lie below min P and outside edge i.  Row i lists (mask, count) pairs:
+    edge i and any ``count`` edges of ``mask`` below it form a daisy, and
+    every daisy with highest edge i is formed so by exactly one pair.
+
+    - For s = 1, one pair per vertex p of edge i: the edges through the
+      stem S = edge - p (``stars[S]``), and t - 1.
+    - For t = s + 1, one pair per vertex u outside edge i: the edges
+      edge - p + u for the vertices p > u of edge i, and s.  Any s of
+      them give P and U = {u}.
+    - Otherwise, one pair per stem S inside edge i, with P = edge - S, and
+      (t-s)-set U below min P outside edge i: the edges S | Q for every
+      s-subset Q of P | U, and C(t, s) - 1.
+
+    ``stars[S]`` is the mask of the indices of the edges that contain the
+    (k - s)-set S, and ``index`` maps an edge to its index.
     """
-    masks, slot_of, s = links.masks, links.slot_of, links.s
-    need = links.t - s
-    for base, petal, slots in links.stems[i]:
-        cand = ~petal
-        for slot in slots:
-            cand &= masks[slot]
-        if cand.bit_count() >= need and (
-            need <= 1 or s == 1 or _petals_extend(masks, slot_of, s, base, petal, cand, need)
-        ):
+
+    def __init__(self, n: int, k: int, s: int, t: int):
+        if not 1 <= s <= k or t < s:
+            raise MatroidError("need 1 <= s <= k and t >= s")
+        super().__init__()
+        self.n, self.s, self.t = n, s, t
+        self.edges, self.stars = edges, stars = [], {}
+        for i, c in enumerate(combinations(range(n), k)):
+            edges.append(mask_of(c))
+            for stem in map(mask_of, combinations(c, k - s)):
+                stars[stem] = stars.get(stem, 0) | 1 << i
+        self.index = {e: i for i, e in enumerate(edges)}
+
+    def __missing__(self, i: int) -> list:
+        edge, s, t, index = self.edges[i], self.s, self.t, self.index
+        elems = [1 << v for v in bit_indices(edge)]
+        if s == 1:
+            row = [(self.stars[edge ^ p], t - 1) for p in elems]
+        elif t == s + 1:
+            # u below at least s vertices of the edge
+            row = [
+                (mask_of(index[edge ^ p | 1 << u] for p in elems if p > 1 << u), s)
+                for u in range(elems[-s].bit_length() - 1)
+                if not edge >> u & 1
+            ]
+        else:
+            row, count = [], comb(t, s) - 1
+            for stem in subsets_of_size(edge, len(elems) - s):
+                petal = edge ^ stem
+                for extra in subsets_of_size((petal & -petal) - 1 & ~edge, t - s):
+                    qs = subsets_of_size(petal | extra, s)
+                    row.append((mask_of(index[stem | q] for q in qs), count))
+        self[i] = row
+        return row
+
+
+def daisy_completed_by_edge(rows: DaisyRows, fam: int, i: int) -> bool:
+    """Does the family ``fam`` plus edge ``i`` hold an (s, t) daisy
+    through edge ``i``?
+
+    ``fam`` is a mask over edge indices below ``i``, so edge ``i`` is the
+    highest edge of any such daisy, and the daisy is in row ``i``
+    (``DaisyRows``).  When ``fam`` has no daisy, this says whether adding
+    edge ``i`` created one: daisy presence is monotone under edge
+    insertion.
+    """
+    for mask, count in rows[i]:
+        if (fam & mask).bit_count() >= count:
             return True
     return False

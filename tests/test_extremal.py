@@ -29,7 +29,7 @@ from turan_matroids.geometry import (
     two_disjoint_lines,
     uniform,
 )
-from turan_matroids.hypergraphs import StemLinks, daisy_completed_by_edge
+from turan_matroids.hypergraphs import DaisyRows, daisy_completed_by_edge
 from turan_matroids.matroid import (
     MatroidError,
     exchange_violation,
@@ -165,6 +165,23 @@ def test_search_deep_trees_stop_at_the_budget():
         assert (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound) == expected
 
 
+# (max_bases, nodes_explored, pruned_daisy, pruned_bound, exhaustive) of two
+# cells outside the benchmark, as (n, r, s, t, node budget): rank 4 with
+# (s, t) = (2, 5), whose daisy rows list (stem, petal set) pairs, and rank
+# 1, whose one stem is the empty set
+BUDGET_CELLS = {
+    (7, 4, 2, 5, 3_000_000): (30, 3_000_000, 25_571, 435, False),
+    (19, 1, 1, 7, extremal.DEFAULT_MAX_NODES): (6, 127_892, 50_388, 3_060, True),
+}
+
+
+def test_search_budget_cells_pinned():
+    for (*cell, budget), expected in BUDGET_CELLS.items():
+        rep = search_ex(*cell, SearchOptions(max_nodes=budget))
+        counters = (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound)
+        assert counters + (rep.exhaustive,) == expected, cell
+
+
 # (max_bases, nodes_explored, pruned_daisy, pruned_bound, full exchange
 # checks) of the benchmark's three generic searches.  Of the 15,435,
 # 240,028 and 35 leaves that reach the exchange test, all but the counted
@@ -205,8 +222,8 @@ DAISY_CHECKS = {
 def test_search_daisy_checks_pinned(monkeypatch):
     answers = []
 
-    def counted(links, i):
-        answers.append(daisy_completed_by_edge(links, i))
+    def counted(rows, fam, i):
+        answers.append(daisy_completed_by_edge(rows, fam, i))
         return answers[-1]
 
     monkeypatch.setattr(extremal, "daisy_completed_by_edge", counted)
@@ -290,16 +307,16 @@ def test_sparse_gates_match_stars():
     # ceiling[idx] >= 0 exactly on the tested indices, and forbid[idx] is
     # the union of the stars holding exactly C(t, s) - 1 edges from idx on
     for n, r, s, t in ((6, 3, 2, 5), (6, 3, 1, 3), (6, 4, 2, 4), (7, 3, 2, 5), (5, 2, 2, 5)):
-        links = StemLinks(n, r, s, t)
-        m, k = len(links.edges), comb(t, s)
-        stars = list(links.stars.values())
+        rows = DaisyRows(n, r, s, t)
+        m, k = len(rows.edges), comb(t, s)
+        stars = list(rows.stars.values())
         assert sorted(stars) == sorted(
-            mask_of(i for i, e in enumerate(links.edges) if e & stem == stem)
+            mask_of(i for i, e in enumerate(rows.edges) if e & stem == stem)
             for stem in map(mask_of, combinations(range(n), r - s))
         )
         dense = (k - 1) * len(stars) // comb(r, s)
         for threshold in (0, dense, dense + 1):
-            ceiling, forbid = extremal._sparse_gates(links, threshold)
+            ceiling, forbid = extremal._sparse_gates(rows, threshold)
             for idx in range(m):
                 loads = [(star >> idx).bit_count() for star in stars]
                 tested = threshold <= dense and idx <= m - 3 and max(loads) < k

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from turan_matroids import cli, lagrangian
+from turan_matroids import cli, extremal, lagrangian
 from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bounds import prime_band
 from turan_matroids.cli import main
@@ -389,6 +389,17 @@ def test_cli_malformed_forbid_exits_1(argv, forbid, capsys):
 @pytest.mark.parametrize("n_range", ["2", "a:b", "5:3"])
 def test_cli_malformed_n_range_exits_1(n_range, capsys):
     code, out = run_cli(["tables", "--kind", "ex", "--n-range", n_range])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--n-range" in err
+
+
+def test_cli_n_range_past_the_ground_set_limit_exits_1_before_searching(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched before checking --n-range")
+
+    monkeypatch.setattr(extremal, "search_ex", refuse)
+    code, out = run_cli(["tables", "--kind", "ex", "--r", "2", "--forbid", "2,3", "--n-range", "2:65"])
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "--n-range" in err

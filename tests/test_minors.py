@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from turan_matroids.acceptance import random_linear_matroid
 from turan_matroids.bitsets import bit_indices, mask_of
 from turan_matroids.hypergraphs import (
-    StemLinks,
+    DaisyRows,
     UniformHypergraph,
     basis_hypergraph,
     complete_uniform,
@@ -98,12 +98,12 @@ def test_daisy_witness_is_valid():
 
 
 def test_daisy_completed_by_edge_incremental():
-    links = StemLinks(4, 3, 3, 4)
-    for i in range(4):
-        links.push(i)
-    assert daisy_completed_by_edge(links, 3)
-    links.pop(3)
-    assert not daisy_completed_by_edge(links, 0)
+    # the edges of K_4^(3) in lexicographic order: the first three and the
+    # last form the (3, 4) daisy, and no fewer do
+    rows = DaisyRows(4, 3, 3, 4)
+    assert daisy_completed_by_edge(rows, 0b111, 3)
+    assert not daisy_completed_by_edge(rows, 0b011, 3)
+    assert not daisy_completed_by_edge(rows, 0b011, 2)
 
 
 @pytest.mark.parametrize(
@@ -121,39 +121,53 @@ def test_daisy_completed_by_edge_incremental():
     ],
 )
 def test_stem_links_match_oracle(k, s, t):
-    # stems of k - s = 0, 1 and 2 elements; the family tends to grow for
-    # 50 steps, then to shrink for 50, twice, and pops come in random
-    # order, not only last-in first-out as in the search
-    n = k + 3
-    links = StemLinks(n, k, s, t)
-    assert links.edges == [mask_of(c) for c in combinations(range(n), k)]
+    # the daisy rows against the oracle, which builds the link of each stem
+    # inside edge i; stems of k - s = 0, 1 and 2 elements; every family of
+    # edges below edge i on k + 2 vertices, and 200 seeded ones of random
+    # density per edge on k + 3 vertices
     rng = random.Random(1000 * k + 100 * s + t)
-    family = set()
     answers = []
-    for step in range(200):
-        absent = [i for i in range(len(links.edges)) if i not in family]
-        grow = 0.7 if step % 100 < 50 else 0.3
-        if absent and (not family or rng.random() < grow):
-            i = rng.choice(absent)
-            family.add(i)
-            links.push(i)
-        else:
-            i = rng.choice(sorted(family))
-            family.remove(i)
-            links.pop(i)
-        edges = {links.edges[i] for i in family}
-        for key, slot in links.slot_of.items():
-            stem_face = key >> n | key & ((1 << n) - 1)
-            expected = mask_of(u for u in range(n) if stem_face | 1 << u in edges)
-            assert links.masks[slot] == expected
-        for i in family:
-            got = daisy_completed_by_edge(links, i)
-            assert got == daisy_completed_by_edge_oracle(edges, k, s, t, links.edges[i])
-            answers.append(got)
+    for n in (k + 2, k + 3):
+        rows = DaisyRows(n, k, s, t)
+        edges = rows.edges
+        assert edges == [mask_of(c) for c in combinations(range(n), k)]
+        for i, edge in enumerate(edges):
+            if n == k + 2:
+                families = range(1 << i)
+            else:
+                families = []
+                for _ in range(200):
+                    density = rng.random()
+                    families.append(mask_of(j for j in range(i) if rng.random() < density))
+            for fam in families:
+                got = daisy_completed_by_edge(rows, fam, i)
+                family = {edges[j] for j in bit_indices(fam)} | {edge}
+                assert got == daisy_completed_by_edge_oracle(family, k, s, t, edge), (n, i, fam)
+                answers.append(got)
     assert True in answers and (False in answers or s == t)
-    for i in sorted(family):
-        links.pop(i)
-    assert not any(links.masks)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_daisy_rows_hold_each_daisy_once(n):
+    # each (s, t) daisy of the complete k-graph on [n] is formed by exactly
+    # one pair of one row, the row of its highest edge: edge i and ``count``
+    # edges of the pair's mask below i
+    for k in range(1, n + 1):
+        for s in range(1, k + 1):
+            for t in range(s, n - k + s + 1):
+                rows = DaisyRows(n, k, s, t)
+                index = rows.index
+                daisies = [
+                    mask_of(index[stem | q] for q in map(mask_of, combinations(petals, s)))
+                    for stem in map(mask_of, combinations(range(n), k - s))
+                    for petals in combinations([v for v in range(n) if not stem >> v & 1], t)
+                ]
+                formed = []
+                for i in range(len(rows.edges)):
+                    for mask, count in rows[i]:
+                        lower = [j for j in bit_indices(mask) if j < i]
+                        formed += [mask_of(c) | 1 << i for c in combinations(lower, count)]
+                assert sorted(formed) == sorted(daisies), (n, k, s, t)
 
 
 def test_has_uniform_minor_examples():
