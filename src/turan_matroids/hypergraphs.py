@@ -158,9 +158,9 @@ class DaisyRows(dict):
 
     - For s = 1, one pair per vertex p of edge i: the edges through the
       stem S = edge - p (``stars[S]``), and t - 1.
-    - For t = s + 1, one pair per vertex u outside edge i: the edges
-      edge - p + u for the vertices p > u of edge i, and s.  Any s of
-      them give P and U = {u}.
+    - For t = s + 1, one pair per vertex u outside edge i and below at
+      least s of its vertices: the edges edge - p + u for the vertices
+      p > u of edge i, and s.  Any s of them give P and U = {u}.
     - Otherwise, one pair per stem S inside edge i, with P = edge - S, and
       (t-s)-set U below min P outside edge i: the edges S | Q for every
       s-subset Q of P | U, and C(t, s) - 1.
@@ -187,7 +187,6 @@ class DaisyRows(dict):
         if s == 1:
             row = [(self.stars[edge ^ p], t - 1) for p in elems]
         elif t == s + 1:
-            # u below at least s vertices of the edge
             row = [
                 (mask_of(index[edge ^ p | 1 << u] for p in elems if p > 1 << u), s)
                 for u in range(elems[-s].bit_length() - 1)
