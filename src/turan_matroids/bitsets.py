@@ -24,7 +24,10 @@ def mask_of(indices) -> int:
 
 
 def subsets_of_size(mask: int, k: int):
-    """All k-element subsets of ``mask``, as masks, in lexicographic index order."""
+    """All k-element subsets of ``mask``, as masks, in lexicographic index
+    order; none when k < 0."""
+    if k < 0:
+        return
     elems = list(bit_indices(mask))
     for combo in combinations(elems, k):
         yield mask_of(combo)

@@ -212,9 +212,8 @@ def _sparse_gates(rows, threshold):
     - forbid[idx] is the union of the stars that hold exactly k - 1 of
       the edges from idx on; the chosen family must miss them.
     """
-    edges = rows.edges
-    m, k = len(edges), comb(rows.t, rows.s)
-    dense = (k - 1) * len(rows.stars) // comb(edges[0].bit_count(), rows.s)
+    m, k = len(rows.edges), comb(rows.t, rows.s)
+    dense = (k - 1) * comb(rows.n, rows.k - rows.s) // comb(rows.k, rows.s)
     ceiling, forbid = [-1] * m, [0] * m
     if dense < threshold:
         return ceiling, forbid
@@ -313,7 +312,8 @@ def _subtree_search(rows, gates, prefix_bits, depth, threshold, budget, cap):
     need, repair = 1 << m, 0
     full = (1 << m) - 1
     ceiling, forbid = gates
-    stars = list(rows.stars.values())
+    # the stars are read only where some ceiling asks for the test
+    stars = list(rows.stars.values()) if max(ceiling) >= 0 else []
     min_edges = comb(rows.t, rows.s)
     hot = 0  # the star that last held C(t, s) edges of ``upper``
     tree_rows = []  # the table of _bound_tree

@@ -6,8 +6,8 @@ a fixed t-set T disjoint from S.  It equals the rank-r suspension of the
 complete s-graph on t vertices.
 
 ``has_daisy`` looks for a daisy in a whole hypergraph: it builds each
-stem's link as one vertex mask per (s-1)-set and grows petal sets with
-``_petals_extend``.  ``daisy_completed_by_edge`` asks whether an edge
+stem's link and asks ``least_petal_set`` for the least t-set whose
+s-subsets all lie in it.  ``daisy_completed_by_edge`` asks whether an edge
 completes a daisy with a family of lower edges of the complete k-graph,
 whose edges are indexed in lexicographic order: such a daisy has that
 edge as its highest edge, so the test reads the family, a mask over
@@ -17,6 +17,7 @@ edge indices, against that edge's row of ``DaisyRows``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -68,15 +69,10 @@ def has_daisy(H: UniformHypergraph, s: int, t: int):
     """Does H contain the daisy with petal parameters (s, t)?
 
     Returns (found, (stem_mask, petal_vertex_mask) or None), with the
-    least stem and then the least t-set T* by ascending element lists.
+    least stem and then the least t-set by ascending element lists.
     One pass over the edges builds the link of every (k-s)-subset (stem)
-    of an edge.  A stem with C(t, s) or more link members gets one mask
-    per (s-1)-set F, at ``slot_of[F]``, of the vertices u with F | {u} in
-    the link, and its members P are extended by ``_petals_extend`` over
-    the vertices above max P, in lexicographic order.  T* is a member P0
-    and then vertices above max P0, and a t-set that began with an earlier
-    member would precede T*; so P0 is the first member that extends, and
-    its least extension, a mask, is T*.
+    of an edge; a stem with C(t, s) or more link members gets its least
+    petal set from ``least_petal_set``.
     """
     if not 1 <= s <= H.k or t < s:
         raise MatroidError("need 1 <= s <= k and t >= s")
@@ -88,59 +84,66 @@ def has_daisy(H: UniformHypergraph, s: int, t: int):
     for stem, link in sorted(links.items()):
         if len(link) < min_edges:
             continue
-        # the (s-1)-subsets of a petal are the petal less one vertex u
-        slot_of, members = {}, []
-        for petal in link:
-            elems = tuple(bit_indices(petal))
-            slots = [slot_of.setdefault(petal ^ 1 << u, len(slot_of)) for u in elems]
-            members.append((elems, petal, slots))
-        masks = [0] * len(slot_of)
-        for elems, _, slots in members:
-            for u, slot in zip(elems, slots):
-                masks[slot] |= 1 << u
-        for _, petal, slots in sorted(members):
-            cand = -(1 << petal.bit_length())
-            for slot in slots:
-                cand &= masks[slot]
-            got = _petals_extend(masks, slot_of, s, petal, cand, t - s)
-            if got:
-                return True, (stem, got)
+        petals = least_petal_set((1 << H.v) - 1 & ~stem, s, t, link)
+        if petals is not None:
+            return True, (stem, petals)
     return False, None
 
 
-def _petals_extend(masks, slot_of, s: int, chosen: int, cand: int, need: int) -> int:
-    """The least petal set, as a mask, made of ``chosen`` and ``need``
-    members of ``cand``; 0 if there is none.
+def least_petal_set(vertices: int, s: int, t: int, inside, outside=()):
+    """The least t-subset of ``vertices`` by ascending element lists, as a
+    mask, whose s-subsets all lie in ``inside`` and none of whose
+    (s+1)-subsets lies in ``outside``; None if there is none.
 
-    ``masks[slot_of[F]]`` is the vertex mask of the (s-1)-set F in
-    the stem's link, as in ``has_daisy``.  ``cand`` holds the vertices u
-    outside the stem and ``chosen`` for which every s-subset of ``chosen``
-    | {u} is in the link.  With ``need`` <= 1 or s = 1 the lowest ``need``
-    bits of ``cand`` complete it.  Otherwise vertices are added in
-    increasing order, depth first, so the first completion is the least;
-    adding u keeps the later candidates in the mask of {u} | G for every
-    (s-2)-subset G of ``chosen``.  Each (s-1)-subset of ``chosen`` | {u}
-    lies in an s-subset of it, so every slot looked up exists.
+    ``inside`` holds s-sets and ``outside`` (s+1)-sets, as masks.
+    ``grow[F]`` is the mask of the vertices u with F | {u} in ``inside``,
+    and ``block[G]`` the same for ``outside``.  Vertices are added in
+    increasing order, depth first, so the first t-set found is the least.
+    The candidates of a chosen set C are the vertices above max C that
+    keep it valid: adding u keeps the later ones in ``grow[F | {u}]`` and
+    out of ``block[G | {u}]`` for every (s-2)-subset F and (s-1)-subset G
+    of C.  The empty set is valid when its s-subsets are in ``inside``,
+    and its candidates lie in ``grow`` of its (s-1)-subsets and out of
+    ``block`` of its s-subsets.
     """
-    if need <= 1 or s == 1:
+    if any(face not in inside for face in subsets_of_size(0, s)):
+        return None
+    grow, block = {}, {}
+    for table, family in ((grow, inside), (block, outside)):
+        for member in family:
+            for u in bit_indices(member):
+                face = member ^ 1 << u
+                table[face] = table.get(face, 0) | 1 << u
+    cand = vertices
+    for face in subsets_of_size(0, s - 1):
+        cand &= grow.get(face, 0)
+    for face in subsets_of_size(0, s):
+        cand &= ~block.get(face, 0)
+    return _least_extension(grow, block, s, 0, cand, t)
+
+
+def _least_extension(grow, block, s: int, chosen: int, cand: int, need: int):
+    """The least valid extension of ``chosen`` by ``need`` members of its
+    candidates ``cand`` (``least_petal_set``), or None."""
+    if need <= 1:
         if cand.bit_count() < need:
-            return 0
-        for _ in range(need):
-            chosen |= cand & -cand
-            cand &= cand - 1
-        return chosen
-    faces = tuple(subsets_of_size(chosen, s - 2))
+            return None
+        return chosen | (cand & -cand if need else 0)
+    grow_faces = tuple(subsets_of_size(chosen, s - 2))
+    block_faces = tuple(subsets_of_size(chosen, s - 1)) if block else ()
     while cand.bit_count() >= need:
         low = cand & -cand
         cand ^= low
         rest = cand
-        for face in faces:
-            rest &= masks[slot_of[face | low]]
+        for face in grow_faces:
+            rest &= grow.get(face | low, 0)
+        for face in block_faces:
+            rest &= ~block.get(face | low, 0)
         if rest.bit_count() >= need - 1:
-            got = _petals_extend(masks, slot_of, s, chosen | low, rest, need - 1)
-            if got:
+            got = _least_extension(grow, block, s, chosen | low, rest, need - 1)
+            if got is not None:
                 return got
-    return 0
+    return None
 
 
 class DaisyRows(dict):
@@ -166,20 +169,25 @@ class DaisyRows(dict):
       s-subset Q of P | U, and C(t, s) - 1.
 
     ``stars[S]`` is the mask of the indices of the edges that contain the
-    (k - s)-set S, and ``index`` maps an edge to its index.
+    (k - s)-set S, built on first read, and ``index`` maps an edge to its
+    index.
     """
 
     def __init__(self, n: int, k: int, s: int, t: int):
         if not 1 <= s <= k or t < s:
             raise MatroidError("need 1 <= s <= k and t >= s")
         super().__init__()
-        self.n, self.s, self.t = n, s, t
-        self.edges, self.stars = edges, stars = [], {}
-        for i, c in enumerate(combinations(range(n), k)):
-            edges.append(mask_of(c))
-            for stem in map(mask_of, combinations(c, k - s)):
+        self.n, self.k, self.s, self.t = n, k, s, t
+        self.edges = [mask_of(c) for c in combinations(range(n), k)]
+        self.index = {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def stars(self) -> dict:
+        stars, k = {}, self.k
+        for i, c in enumerate(combinations(range(self.n), k)):
+            for stem in map(mask_of, combinations(c, k - self.s)):
                 stars[stem] = stars.get(stem, 0) | 1 << i
-        self.index = {e: i for i, e in enumerate(edges)}
+        return stars
 
     def __missing__(self, i: int) -> list:
         edge, s, t, index = self.edges[i], self.s, self.t, self.index

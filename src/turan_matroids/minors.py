@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .bitsets import bit_indices, mask_of, subsets_of_size
 from .canonical import canonical_bases
-from .hypergraphs import basis_hypergraph, has_daisy
+from .hypergraphs import basis_hypergraph, has_daisy, least_petal_set
 from .matroid import Matroid, MatroidError, rank_of, validate_exchange
 
 
@@ -65,9 +65,9 @@ def has_uniform_restriction(M: Matroid, s: int, t: int):
     """Is there a t-set T with M|T uniform of rank s?
 
     Yes when every s-subset of T lies in a basis and no (s+1)-subset does;
-    both families are read off the bases once, and the search tests only
-    the subsets through each element it adds.
-    Returns (found, T mask or None); T is lexicographically least.
+    both families are read off the bases once, and ``least_petal_set``
+    finds T.  Returns (found, T mask or None); T is least by ascending
+    element lists.
     """
     if s < 0 or t < s:
         raise MatroidError("need 0 <= s <= t")
@@ -80,24 +80,7 @@ def has_uniform_restriction(M: Matroid, s: int, t: int):
         for b in M.bases:
             independent.update(subsets_of_size(b, s))
             too_big.update(subsets_of_size(b, s + 1))
-
-    def dfs(chosen, start):  # chosen holds distinct single bits: sum() is their union
-        if len(chosen) == t:
-            return sum(chosen)
-        for e in range(start, M.n):
-            if M.n - e < t - len(chosen):
-                break
-            bit = 1 << e
-            if s and any(sum(sub) | bit not in independent for sub in combinations(chosen, s - 1)):
-                continue
-            if too_big and any(sum(sub) | bit in too_big for sub in combinations(chosen, s)):
-                continue
-            got = dfs(chosen + [bit], e + 1)
-            if got is not None:
-                return got
-        return None
-
-    got = dfs([], 0)
+    got = least_petal_set(M.full_mask, s, t, independent, too_big)
     return got is not None, got
 
 

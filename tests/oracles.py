@@ -379,6 +379,19 @@ def has_daisy_oracle(H, s: int, t: int):
     return False, None
 
 
+def least_petal_set_oracle(vertices: int, s: int, t: int, inside, outside=()):
+    """The first t-subset of ``vertices`` in lexicographic order whose
+    s-subsets all lie in ``inside`` and none of whose (s+1)-subsets lies in
+    ``outside``, as a mask; None if there is none."""
+    inside, outside = set(inside), set(outside)
+    for petals in map(mask_of, combinations(bit_indices(vertices), t)):
+        if all(x in inside for x in subsets_of_size(petals, s)) and not any(
+            y in outside for y in subsets_of_size(petals, s + 1)
+        ):
+            return petals
+    return None
+
+
 def poly_eval_oracle(M: Matroid, x) -> float:
     """p(x), one basis and one factor at a time."""
     x = np.asarray(x, dtype=float)

@@ -84,6 +84,27 @@ def test_oracles_import_no_private_names():
     assert private == []
 
 
+def test_bench_layer_fields_name_public_functions():
+    # the benchmark's traced run reads one row per function named in
+    # LAYER_FIELDS, and a name the package no longer defines makes it raise
+    tree = ast.parse((TESTS.parent / "bench" / "run.py").read_text())
+    fields = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "LAYER_FIELDS" for target in node.targets)
+    )
+    for qualname, _ in ast.literal_eval(fields):
+        module, name = qualname.split(".")
+        assert not name.startswith("_"), qualname
+        defined = {
+            node.name
+            for node in ast.parse(SOURCES[f"{module}.py"].read_text()).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert name in defined, qualname
+
+
 BENCH_RECORDS = sorted(TESTS.parent.glob("BENCH_*.json"))
 
 

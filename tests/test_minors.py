@@ -16,6 +16,7 @@ from turan_matroids.hypergraphs import (
     daisy,
     daisy_completed_by_edge,
     has_daisy,
+    least_petal_set,
     suspension,
 )
 from turan_matroids.geometry import projective_geometry, rank3_multiline, two_disjoint_lines, uniform
@@ -32,6 +33,7 @@ from oracles import (
     daisy_completed_by_edge_oracle,
     has_daisy_oracle,
     has_uniform_restriction_oracle,
+    least_petal_set_oracle,
     matroidal_local_diagnostic,
 )
 
@@ -168,6 +170,27 @@ def test_daisy_rows_hold_each_daisy_once(n):
                         lower = [j for j in bit_indices(mask) if j < i]
                         formed += [mask_of(c) | 1 << i for c in combinations(lower, count)]
                 assert sorted(formed) == sorted(daisies), (n, k, s, t)
+
+
+def test_least_petal_set_matches_oracle():
+    # families that need not come from a matroid or a link: ``outside`` is
+    # drawn on its own, s runs from 0, and t runs one past v
+    rng = random.Random(20261020)
+    answers = []
+    for _ in range(300):
+        v = rng.randint(0, 8)
+        s = rng.randint(0, min(3, v + 1))
+        t = rng.randint(s, v + 1)
+        vertices = mask_of(u for u in range(v) if rng.random() < 0.9)
+        density, sparsity = rng.uniform(0.5, 1), rng.uniform(0, 0.3)
+        inside = [mask_of(c) for c in combinations(range(v), s) if rng.random() < density]
+        outside = [mask_of(c) for c in combinations(range(v), s + 1) if rng.random() < sparsity]
+        got = least_petal_set(vertices, s, t, inside, outside)
+        assert got == least_petal_set_oracle(vertices, s, t, inside, outside), (vertices, s, t)
+        answers.append(got)
+    assert any(got is None for got in answers) and any(got for got in answers)
+    assert least_petal_set(0b111, 0, 2, [], []) is None  # the empty set is not in ``inside``
+    assert least_petal_set(0b1001, 2, 2, [0b1001, 0b0110]) == 0b1001  # {0,3} before {1,2}
 
 
 def test_has_uniform_minor_examples():
