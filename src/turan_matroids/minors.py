@@ -3,7 +3,9 @@
 A rank-r matroid has a U(s, t)-minor exactly when its basis hypergraph
 contains the (s, t) daisy: contract the stem, restrict to the petal set.
 The daisy route is the fast detector; ``uniform_minor_oracle`` is the
-independent brute-force check used to validate it.
+independent brute-force check used to validate it.  After the contraction
+the petal set is a U(s, t)-restriction, so the daisy's per-stem search and
+the restriction search are one search, ``hypergraphs.least_petal_set``.
 """
 
 from __future__ import annotations
