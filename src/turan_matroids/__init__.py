@@ -15,6 +15,7 @@ from .matroid import (
     contract,
     delete,
     direct_sum,
+    flats,
     is_simple,
     parallel_blowup,
     rank_of,

@@ -268,8 +268,12 @@ def cmd_tables(args) -> int:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if args.kind == "density-u2":
-        writer.writerow(["r", "q", "density", "decimal"])
         qs = _int_list(args.q_list, "--q-list")
+        if args.max_r < 2:
+            raise MatroidError(f"--max-r must be at least 2, got {args.max_r}")
+        if not qs or min(qs) < 2:
+            raise MatroidError(f"--q-list needs field sizes of at least 2, got {args.q_list!r}")
+        writer.writerow(["r", "q", "density", "decimal"])
         for r in range(2, args.max_r + 1):
             for q in qs:
                 d = bounds_mod.u2_density(r, q)

@@ -77,6 +77,8 @@ def _parse_text(lines):
         raise ParseError(cl_no, f"expected 'bases <count>', got {cl!r}")
     count = int(parts[1])
     rows = lines[3:]
+    if r == 0 and count == 1 and not rows:
+        return n, r, {0}  # the one empty basis was written as a blank row
     if len(rows) != count:
         raise ParseError(cl_no, f"bases count {count} but {len(rows)} rows follow")
     masks = set()

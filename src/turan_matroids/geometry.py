@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .bitsets import bit_indices, mask_of
+from .bitsets import mask_of
 from .fields import GaloisField, make_field
-from .matroid import MAX_GROUND_SET, Matroid, MatroidError, closure, rank_of
+from .matroid import MAX_GROUND_SET, Matroid, MatroidError, flats
 
 
 def projective_points(r: int, q: int):
@@ -202,16 +202,4 @@ def lines_of(M: Matroid):
     """
     if M.r < 2:
         raise MatroidError("lines need rank >= 2")
-    # A pair inside a line already found is parallel or spans that line.
-    through = [0] * M.n  # union of the lines found so far through each element
-    lines = []
-    for e, f in combinations(range(M.n), 2):
-        if through[e] >> f & 1:
-            continue
-        pair = (1 << e) | (1 << f)
-        if rank_of(M, pair) == 2:
-            line = closure(M, pair)
-            lines.append(line)
-            for i in bit_indices(line):
-                through[i] |= line
-    return sorted(lines)
+    return flats(M, 2)

@@ -12,7 +12,7 @@ and serialization canonical for a fixed labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .bitsets import bit_indices, mask_of, shift_down_above, subsets_of_size
 
@@ -139,6 +139,22 @@ def closure(M: Matroid, X: int) -> int:
     return X | (M.full_mask & ~outside)
 
 
+def flats(M: Matroid, k: int):
+    """The rank-k flats, as sorted masks: the closures of the independent
+    k-sets.  A k-set inside a flat already found is dependent or spans it,
+    so it is skipped; only the flats through its least element can hold it."""
+    if not 0 <= k <= M.r:
+        raise MatroidError(f"flat rank {k} outside 0..{M.r}")
+    through = [[] for _ in range(M.n + 1)]  # the found flats through each element; all at -1
+    for S in subsets_of_size(M.full_mask, k):  # lexicographic; the empty set (k = 0) reads -1
+        held = any(S & F == S for F in through[(S & -S).bit_length() - 1])
+        if not held and any(b & S == S for b in M.bases):  # S is new and independent
+            F = closure(M, S)
+            for e in (*bit_indices(F), -1):
+                through[e].append(F)
+    return sorted(through[-1])
+
+
 def is_coloop(M: Matroid, e: int) -> bool:
     bit = 1 << e
     return all(b & bit for b in M.bases)
@@ -189,16 +205,12 @@ def simplify(M: Matroid):
 
     Drops loops and keeps the smallest element of each parallel class, in
     increasing order; element i of the simple matroid is the class of
-    representatives[i].  The class of a non-loop e is its closure minus the
-    loops.  The rank is unchanged.
+    representatives[i].  The classes are the rank-1 flats minus the loops.
+    The rank is unchanged.
     """
     loops = loops_mask(M)
-    unassigned = M.full_mask & ~loops
-    classes = []
-    while unassigned:
-        cls = closure(M, unassigned & -unassigned) & ~loops
-        classes.append(cls)
-        unassigned &= ~cls
+    classes = [F & ~loops for F in flats(M, 1)] if M.r else []  # rank 0: all loops
+    classes.sort(key=lambda c: c & -c)  # by least element: {0, 5} before {1}
     reps = tuple((c & -c).bit_length() - 1 for c in classes)
     label = {e: i for i, c in enumerate(classes) for e in bit_indices(c)}
     seen = {mask_of(label[e] for e in bit_indices(b)) for b in M.bases}
@@ -206,7 +218,7 @@ def simplify(M: Matroid):
 
 
 def is_simple(M: Matroid) -> bool:
-    return not loops_mask(M) and all(closure(M, 1 << e) == 1 << e for e in range(M.n))
+    return not loops_mask(M) and (M.n == 0 or len(flats(M, 1)) == M.n)
 
 
 def direct_sum(M1: Matroid, M2: Matroid) -> Matroid:
@@ -240,11 +252,7 @@ def parallel_blowup(M: Matroid, mult) -> Matroid:
     total = sum(mult)
     if total > MAX_GROUND_SET:
         raise MatroidError("blow-up exceeds the 64-element cap")
-    starts = [0] * M.n
-    acc = 0
-    for i in range(M.n):
-        starts[i] = acc
-        acc += mult[i]
+    starts = list(accumulate(mult, initial=0))  # first copy of each element
     bases = []
     for b in M.bases:
         elems = list(bit_indices(b))

@@ -11,7 +11,7 @@ returning quietly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 from .bitsets import bit_indices
@@ -136,16 +136,11 @@ def classify_u35_free(M: Matroid):
 
     lines = lines_of(M)
     full = M.full_mask
-    for l1 in lines:
-        for l2 in lines:
-            if l1 == l2:
-                continue
-            if (l1 & ~l2).bit_count() >= 4 and (l2 & ~l1).bit_count() >= 2:
-                if (l1 | l2) != full:
-                    raise TheoremViolation(
-                        "good line pair does not cover the ground set"
-                    )
-                return TwoLines(l1, l2)
+    for l1, l2 in permutations(lines, 2):
+        if (l1 & ~l2).bit_count() >= 4 and (l2 & ~l1).bit_count() >= 2:
+            if (l1 | l2) != full:
+                raise TheoremViolation("good line pair does not cover the ground set")
+            return TwoLines(l1, l2)
     for l1, l2 in combinations(lines, 2):
         if (l1 | l2) == full:
             return TwoLines(l1, l2)

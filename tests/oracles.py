@@ -227,6 +227,13 @@ def closure_oracle(M: Matroid, X: int) -> int:
     return out
 
 
+def flats_oracle(M: Matroid, k: int):
+    """``matroid.flats`` unpruned: the closure of every independent k-set,
+    deduplicated and sorted."""
+    independent = (S for S in subsets_of_size(M.full_mask, k) if rank_of(M, S) == k)
+    return sorted({closure_oracle(M, S) for S in independent})
+
+
 def simplify_oracle(M: Matroid):
     """``matroid.simplify`` by pairwise tests: non-loops e and f are
     parallel when no basis contains both.  Returns (simple matroid,

@@ -23,6 +23,7 @@ from turan_matroids.extremal import (
 from turan_matroids.bitsets import bit_indices, mask_of
 from turan_matroids.geometry import (
     bose_burton,
+    lines_of,
     projective_geometry,
     rank3_from_lines,
     rank3_multiline,
@@ -414,6 +415,10 @@ def test_rank3_line_state_detects_minors():
         for family in _line_families(p):
             through = [[ln for ln in family if ln >> e & 1] for e in range(p)]
             M = rank3_from_lines(p, family)
+            # the lines are the long lines plus every pair on none of them
+            pairs = [mask_of(c) for c in combinations(range(p), 2)]
+            short = [x for x in pairs if not any(x & ln == x for ln in family)]
+            assert lines_of(M) == sorted(family + short), (p, family)
             for t in range(3, 8):
                 fan = extremal._has_fan(through, t)
                 arc = extremal._has_arc(through, t)

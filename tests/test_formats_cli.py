@@ -20,7 +20,7 @@ from turan_matroids.formats import (
     serialize_matroid_json,
 )
 from turan_matroids.geometry import projective_geometry, uniform
-from turan_matroids.matroid import MatroidError
+from turan_matroids.matroid import MatroidError, direct_sum
 
 
 def test_text_round_trip_random(rng):
@@ -33,6 +33,16 @@ def test_json_round_trip_random(rng):
     for _ in range(100):
         M = random_linear_matroid(rng, min_n=2, max_n=7)
         assert parse_matroid(serialize_matroid_json(M)) == M
+
+
+@pytest.mark.parametrize(
+    "M", [uniform(0, t) for t in range(4)] + [direct_sum(uniform(0, 2), uniform(0, 1))]
+)
+def test_text_round_trip_rank_0(M):
+    # the one basis is empty, so its row is blank
+    text = serialize_matroid(M)
+    assert text.endswith("bases 1\n\n")
+    assert parse_matroid(text) == M
 
 
 def test_serialization_is_bit_exact():
@@ -76,9 +86,10 @@ def test_exchange_failure_names_pair():
 
 
 def test_empty_bases_rejected():
-    with pytest.raises(MatroidError) as err:
-        parse_matroid("MATROID v1\nn 3 r 2\nbases 0\n")
-    assert "nonempty" in str(err.value)
+    for sizes in ("n 3 r 2", "n 2 r 0"):
+        with pytest.raises(MatroidError) as err:
+            parse_matroid(f"MATROID v1\n{sizes}\nbases 0\n")
+        assert "nonempty" in str(err.value)
 
 
 def run_cli(argv, stdin_text=""):
@@ -403,6 +414,16 @@ def test_cli_n_range_past_the_ground_set_limit_exits_1_before_searching(monkeypa
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "--n-range" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-r", "1"], ["--q-list", ","], ["--q-list", "7,1"]]
+)
+def test_cli_density_table_without_rows_exits_1(flags, capsys):
+    code, out = run_cli(["tables", "--kind", "density-u2"] + flags)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and flags[0] in err
 
 
 def test_cli_malformed_q_list_exits_1(capsys):

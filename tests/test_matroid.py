@@ -18,6 +18,7 @@ from turan_matroids.matroid import (
     delete,
     direct_sum,
     exchange_violation,
+    flats,
     is_coloop,
     is_simple,
     loops_mask,
@@ -37,6 +38,7 @@ from oracles import (
     connected_components_oracle,
     exchange_violation_oracle,
     exchange_witness_refutes,
+    flats_oracle,
     restrict_oracle,
     simplify_oracle,
 )
@@ -397,6 +399,19 @@ def test_simplify_matches_oracle_on_linear_matroids(M):
 def test_simplify_matches_oracle():
     for M in oracle_matroids():
         _assert_simplify_matches_oracle(M)
+
+
+def test_flats_match_oracle():
+    # every rank from the loops (k = 0) through the parallel classes, lines,
+    # colines and hyperplanes to the ground set (k = r)
+    for M in oracle_matroids():
+        for k in range(M.r + 1):
+            assert flats(M, k) == flats_oracle(M, k), (M, k)
+        assert flats(M, 0) == [loops_mask(M)], M
+        assert flats(M, M.r) == [M.full_mask], M
+        for k in (-1, M.r + 1):
+            with pytest.raises(MatroidError):
+                flats(M, k)
 
 
 def oracle_subsets(M, rng):
