@@ -27,6 +27,7 @@ predecessors left unspent, so results and counters are deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -479,59 +480,28 @@ def exhaustive_oracle_max_bases(n: int, r: int, s: int, t: int):
     return best, champions
 
 
-def _has_arc(through, t: int) -> int:
-    """An arc of size t, t points with no three on one long line, as a
-    point mask, or 0 when there is none: a nonzero result is a
-    U(3, t)-restriction of the simple rank-3 matroid.
-
-    A DFS adds points in increasing order; a new point e blocks the rest of
-    every long line through e that already holds a chosen point.  The arc
-    returned is the first one this order finds.
+def _line_state(s: int, p: int, t: int, lines):
+    """The line state of the rank-3 walk on p points forbidding U(s, t),
+    described in ``search_ex_rank3``: (root, high, step, table), one table
+    entry per member of ``lines``.  A family's state is ``root`` folded by
+    ``step`` over its lines' entries, and the family has the forbidden
+    minor exactly when ``state & high`` is nonzero.  For s = 2 a point's
+    line count sits in a w-bit field biased by 2^(w-1) - t, so the field's
+    top bit is set exactly when the count reaches t; a count never goes
+    below zero, so no borrow crosses fields.
     """
-
-    def grow(chosen: int, size: int, left: int) -> int:
-        if size == t:
-            return chosen
-        while size + left.bit_count() >= t:
-            bit = left & -left
-            left ^= bit
-            blocked = 0
-            for ln in through[bit.bit_length() - 1]:
-                if ln & chosen:
-                    blocked |= ln
-            arc = grow(chosen | bit, size + 1, left & ~blocked)
-            if arc:
-                return arc
-        return 0
-
-    return grow(0, 0, (1 << len(through)) - 1)
-
-
-def _has_fan(through, t: int) -> int:
-    """A fan of size t, a point e and one point on each of t lines through
-    e, 2-point lines included, as a mask of those t + 1 points, or 0 when
-    there is none: a nonzero result is a U(2, t)-minor of the simple rank-3
-    matroid, since contracting e leaves the lines through e as its parallel
-    classes.
-
-    Point e lies on the long lines ``through[e]`` and on one 2-point line
-    per point on none of them.  The fan returned is the first e in
-    increasing order with at least t lines, with the lowest other point of
-    each long line, keeping the t lowest of those points.  The walk adds
-    lines in increasing mask order, so low points keep the fan longest.
-    """
-    full = (1 << len(through)) - 1
-    for e, lines in enumerate(through):
-        bit = 1 << e
-        fan = full & ~bit
-        for ln in lines:
-            rest = ln & ~bit
-            fan = fan & ~rest | rest & -rest
-        if fan.bit_count() >= t:
-            while fan.bit_count() > t:
-                fan ^= 1 << fan.bit_length() - 1
-            return fan | bit
-    return 0
+    if s == 3:
+        arcs = [mask_of(c) for c in combinations(range(p), t)]
+        root = (1 << len(arcs)) - 1
+        table = [
+            sum(1 << j for j, x in enumerate(arcs) if (x & ln).bit_count() <= 2) for ln in lines
+        ]
+        return root, root, operator.and_, table
+    w = max(p, t).bit_length() + 1
+    root = sum((p - 1 + (1 << w - 1) - t) << w * e for e in range(p))
+    high = sum(1 << w * e + w - 1 for e in range(p))
+    table = [sum((ln.bit_count() - 2) << w * e for e in bit_indices(ln)) for ln in lines]
+    return root, high, operator.sub, table
 
 
 def _e3(comps: np.ndarray, points) -> np.ndarray:
@@ -602,24 +572,33 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
       are M/e\\D, whose parallel classes are the lines through e,
       or subsets of a line L, and a point off L lies on >= |L| lines;
     - a U(3,t)-minor of a rank-3 matroid is a U(3,t)-restriction, a set of
-      t points with no three on a long line (``_has_arc``).
+      t points with no three on a long line, a t-arc.
 
     Two lines are compatible when they share at most one point.  For each
     point count the walk numbers the candidate lines in increasing mask
     order and precomputes, per line i, the bitset ``compat[i]`` of the
-    later lines compatible with it, and its points as a tuple.  A node
-    carries ``avail``, the later lines compatible with all of its own; it
-    visits its children in increasing order of the set bits of ``avail``,
-    and the child that adds line i gets ``avail & compat[i]``.  The walk
-    keeps one per-point state, ``through[e]``, the long lines through
-    point e.  A node that is not free passes the witness it found (or
-    inherited) to its children: an arc from ``_has_arc``, or a fan from
-    ``_has_fan``.  A child that adds line L keeps it, with no search,
-    while at most two of its points lie on L; otherwise the child searches
-    afresh.  L is the only new long line, so an arc keeps no three points
-    on one line.  A fan through e keeps its points on distinct lines
-    through e: if L misses e it changes no line through e, and if L passes
-    through e it holds at most one other fan point.
+    later lines compatible with it.  A node carries ``avail``, the later
+    lines compatible with all of its own; it visits its children in
+    increasing order of the set bits of ``avail``, and the child that adds
+    line i gets ``avail & compat[i]``.
+
+    A node also carries one integer, ``state``, from which freeness is one
+    test, ``state & high == 0`` (``_line_state``).  For s = 3 it is
+    ``alive``, the t-subsets of the points that are still arcs; for s = 2
+    it packs, per point, the number of lines through it in a biased field
+    of w = max(p, t).bit_length() + 1 bits whose top bit says "at least
+    t".  Adding line L changes an arc
+    only if the arc holds three points of L, and changes a point's line
+    count only by what L merges: the 2-point lines from e to the other
+    points of L become one line, so e loses |L| - 2 lines, and two lines
+    of the family share at most one point, so no other line is merged.
+    So the child that adds line i combines its parent's state with one
+    precomputed entry in one operation: ``state & table[i]`` for s = 3,
+    ``state - table[i]`` for s = 2.  Beside ``compat``, with its m bits
+    per candidate line, ``table`` holds C(p, t) bits per line for s = 3,
+    never more than m since t > 3, and p * w bits, a few bytes, for
+    s = 2.  Adding a line only removes arcs and merges lines, so a free
+    node's children are free as well.
 
     A free node is scored in closed form: its blow-up with multiplicities
     mu has e3(mu) - sum over long lines L of e3(mu|L) bases, e3 being the
@@ -644,7 +623,6 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     if n < 3:
         raise MatroidError("rank 3 needs n >= 3")
 
-    find_witness = _has_arc if s == 3 else _has_fan
     budget = opts.max_nodes
     nodes = 0
     pruned_forbidden = 0
@@ -659,7 +637,6 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
         candidates = sorted(
             mask_of(combo) for k in range(3, p + 1) for combo in combinations(range(p), k)
         )
-        points = [tuple(bit_indices(ln)) for ln in candidates]
         m = len(candidates)
         # bit j of compat[i] is set when j > i and lines i and j share at
         # most one point
@@ -667,16 +644,13 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
             sum(1 << j for j in range(i + 1, m) if (ln & candidates[j]).bit_count() <= 1)
             for i, ln in enumerate(candidates)
         ]
+        root, high, step, table = _line_state(s, p, t, candidates)
         full = (1 << p) - 1
-        through = [[] for _ in range(p)]
         blowups = None  # built on the first free node on p points
 
-        def dfs(family, avail, parent_free, witness):
-            """Visit the node ``family`` and its children, the families that
-            add one line of ``avail``.  Adding a line removes arcs and merges
-            lines through its points, so freeness passes from parent to
-            child for both s; ``witness`` is an arc or fan the node still
-            has, or 0 if it must be searched for."""
+        def dfs(family, avail, state):
+            """Visit the node ``family``, whose line state is ``state``, and
+            its children, the families that add one line of ``avail``."""
             nonlocal nodes, best, champions, pruned_forbidden, exhausted, blowups
             if nodes >= budget:
                 exhausted = True
@@ -684,12 +658,7 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
             nodes += 1
             if family == [full]:
                 return  # all triples collinear: rank below 3, and no child
-            if parent_free:
-                free = True
-            else:
-                witness = witness or find_witness(through, t)
-                free = not witness
-            if not free:
+            if state & high:
                 pruned_forbidden += 1
             else:
                 if blowups is None:
@@ -704,19 +673,13 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
                 low = avail & -avail
                 avail ^= low
                 i = low.bit_length() - 1
-                ln, pts = candidates[i], points[i]
-                family.append(ln)
-                for e in pts:
-                    through[e].append(ln)
-                kept = witness if (witness & ln).bit_count() <= 2 else 0
-                dfs(family, avail & compat[i], free, kept)
-                for e in pts:
-                    through[e].pop()
+                family.append(candidates[i])
+                dfs(family, avail & compat[i], step(state, table[i]))
                 family.pop()
                 if exhausted:
                     return
 
-        dfs([], (1 << m) - 1, False, 0)
+        dfs([], (1 << m) - 1, root)
 
     exhaustive = (p_cap >= n) and not exhausted
     witnesses = _witnesses(n, champions, opts.witness_cap)

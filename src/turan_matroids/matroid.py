@@ -142,13 +142,16 @@ def closure(M: Matroid, X: int) -> int:
 def flats(M: Matroid, k: int):
     """The rank-k flats, as sorted masks: the closures of the independent
     k-sets.  A k-set inside a flat already found is dependent or spans it,
-    so it is skipped; only the flats through its least element can hold it."""
+    so it is skipped; only the flats through its least element can hold it.
+    A singleton is independent exactly when it is not a loop."""
     if not 0 <= k <= M.r:
         raise MatroidError(f"flat rank {k} outside 0..{M.r}")
+    nonloops = M.full_mask & ~loops_mask(M) if k == 1 else 0
     through = [[] for _ in range(M.n + 1)]  # the found flats through each element; all at -1
     for S in subsets_of_size(M.full_mask, k):  # lexicographic; the empty set (k = 0) reads -1
         held = any(S & F == S for F in through[(S & -S).bit_length() - 1])
-        if not held and any(b & S == S for b in M.bases):  # S is new and independent
+        # S is new and independent
+        if not held and (S & nonloops if k == 1 else any(b & S == S for b in M.bases)):
             F = closure(M, S)
             for e in (*bit_indices(F), -1):
                 through[e].append(F)

@@ -676,6 +676,61 @@ def search_ex_rank3_oracle(n: int, s: int, t: int, opts: SearchOptions | None = 
     )
 
 
+def arc_oracle(through, t: int) -> int:
+    """An arc of size t, t points with no three on one long line, as a
+    point mask, or 0 when there is none: a nonzero result is a
+    U(3, t)-restriction of the simple rank-3 matroid.
+
+    A DFS adds points in increasing order; a new point e blocks the rest of
+    every long line through e that already holds a chosen point.  The arc
+    returned is the first one this order finds.
+    """
+
+    def grow(chosen: int, size: int, left: int) -> int:
+        if size == t:
+            return chosen
+        while size + left.bit_count() >= t:
+            bit = left & -left
+            left ^= bit
+            blocked = 0
+            for ln in through[bit.bit_length() - 1]:
+                if ln & chosen:
+                    blocked |= ln
+            arc = grow(chosen | bit, size + 1, left & ~blocked)
+            if arc:
+                return arc
+        return 0
+
+    return grow(0, 0, (1 << len(through)) - 1)
+
+
+def fan_oracle(through, t: int) -> int:
+    """A fan of size t, a point e and one point on each of t lines through
+    e, 2-point lines included, as a mask of those t + 1 points, or 0 when
+    there is none: a nonzero result is a U(2, t)-minor of the simple rank-3
+    matroid, since contracting e leaves the lines through e as its parallel
+    classes.
+
+    Point e lies on the long lines ``through[e]`` and on one 2-point line
+    per point on none of them.  The fan returned is the first e in
+    increasing order with at least t lines, with the lowest other point of
+    each long line, keeping the t lowest of those points.  The walk adds
+    lines in increasing mask order, so low points keep the fan longest.
+    """
+    full = (1 << len(through)) - 1
+    for e, lines in enumerate(through):
+        bit = 1 << e
+        fan = full & ~bit
+        for ln in lines:
+            rest = ln & ~bit
+            fan = fan & ~rest | rest & -rest
+        if fan.bit_count() >= t:
+            while fan.bit_count() > t:
+                fan ^= 1 << fan.bit_length() - 1
+            return fan | bit
+    return 0
+
+
 def exchange_witness_refutes(family, witness) -> bool:
     """True when the ("exchange", B1, B2, x) ``witness`` shows that the set
     ``family`` is not a basis family; False says nothing either way.

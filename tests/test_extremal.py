@@ -47,7 +47,9 @@ from turan_matroids.rank3 import (
 )
 
 from oracles import (
+    arc_oracle,
     exchange_witness_refutes,
+    fan_oracle,
     line_cover_oracle,
     search_ex_oracle,
     search_ex_rank3_oracle,
@@ -111,8 +113,7 @@ def test_search_budget_is_global():
 
 
 def test_rank3_search_budget_is_exact():
-    # each full rank-3 search visits 8,783 nodes; (3, 4) keeps inherited
-    # arcs at most of its nodes and (2, 4) carries fan witnesses
+    # each full rank-3 search visits 8,783 nodes, whatever it forbids
     for s, t in ((3, 5), (3, 4), (2, 4)):
         report = search_ex_rank3(7, s, t, SearchOptions(max_nodes=8_783))
         assert report.exhaustive and report.nodes_explored == 8_783, (s, t)
@@ -390,6 +391,14 @@ def test_rank3_search_matches_oracle():
         for budget in (0, 1, 7, 100, 1000):
             opts = SearchOptions(max_nodes=budget)
             assert search_ex_rank3(n, s, t, opts) == search_ex_rank3_oracle(n, s, t, opts)
+    # point caps below n, and a budget that ends inside the 7-point walk
+    # (the walk visits 393 nodes on at most 6 points)
+    for s in (2, 3):
+        for cap in (5, 6):
+            opts = SearchOptions(rank3_point_cap=cap)
+            assert search_ex_rank3(7, s, 5, opts) == search_ex_rank3_oracle(7, s, 5, opts)
+    opts = SearchOptions(max_nodes=3_000)
+    assert search_ex_rank3(7, 3, 5, opts) == search_ex_rank3_oracle(7, 3, 5, opts)
 
 
 def _line_families(p):
@@ -410,6 +419,15 @@ def _line_families(p):
     return grow(0, [])
 
 
+def _line_state_free(s, p, t, family):
+    """Whether the walk's line state, folded over ``family``, reads the
+    family as free of U(s, t)."""
+    state, high, step, table = extremal._line_state(s, p, t, family)
+    for entry in table:
+        state = step(state, entry)
+    return not state & high
+
+
 def test_rank3_line_state_detects_minors():
     for p in range(3, 7):
         for family in _line_families(p):
@@ -420,8 +438,8 @@ def test_rank3_line_state_detects_minors():
             short = [x for x in pairs if not any(x & ln == x for ln in family)]
             assert lines_of(M) == sorted(family + short), (p, family)
             for t in range(3, 8):
-                fan = extremal._has_fan(through, t)
-                arc = extremal._has_arc(through, t)
+                fan = fan_oracle(through, t)
+                arc = arc_oracle(through, t)
                 # a found fan is a point and t others on distinct lines through it
                 if fan:
                     assert fan.bit_count() == t + 1, (p, family, t)
@@ -438,6 +456,16 @@ def test_rank3_line_state_detects_minors():
                 if p <= 5:
                     assert bool(fan) == uniform_minor_oracle(M, 2, t)
                     assert bool(arc) == uniform_minor_oracle(M, 3, t)
+            # the search's per-line tables, folded over the family, give
+            # the same answers
+            for s, t in [(2, 2)] + [(s, t) for t in range(3, 8) for s in (2, 3)]:
+                free = _line_state_free(s, p, t, family)
+                if s == 3:
+                    assert free != has_uniform_restriction(M, 3, t)[0], (p, family, t)
+                else:
+                    assert free != has_uniform_minor(M, 2, t)[0], (p, family, t)
+                if p <= 5:
+                    assert free != uniform_minor_oracle(M, s, t), (p, family, s, t)
 
 
 def test_rank3_blowup_value_matches_bases():
