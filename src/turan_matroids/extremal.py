@@ -583,22 +583,21 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     line i gets ``avail & compat[i]``.
 
     A node also carries one integer, ``state``, from which freeness is one
-    test, ``state & high == 0`` (``_line_state``).  For s = 3 it is
-    ``alive``, the t-subsets of the points that are still arcs; for s = 2
-    it packs, per point, the number of lines through it in a biased field
-    of w = max(p, t).bit_length() + 1 bits whose top bit says "at least
-    t".  Adding line L changes an arc
-    only if the arc holds three points of L, and changes a point's line
-    count only by what L merges: the 2-point lines from e to the other
-    points of L become one line, so e loses |L| - 2 lines, and two lines
-    of the family share at most one point, so no other line is merged.
-    So the child that adds line i combines its parent's state with one
-    precomputed entry in one operation: ``state & table[i]`` for s = 3,
-    ``state - table[i]`` for s = 2.  Beside ``compat``, with its m bits
-    per candidate line, ``table`` holds C(p, t) bits per line for s = 3,
-    never more than m since t > 3, and p * w bits, a few bytes, for
-    s = 2.  Adding a line only removes arcs and merges lines, so a free
-    node's children are free as well.
+    test, ``state & high == 0`` (``_line_state``).  For s = 3 it is the
+    bitset of t-subsets of the points that are still arcs; for s = 2 it
+    packs, per point, the number of lines through it in a biased field of
+    w = max(p, t).bit_length() + 1 bits whose top bit says "at least t".
+    Adding line L changes an arc only if the arc holds three points of L,
+    and changes a point's line count only by what L merges: the 2-point
+    lines from e to the other points of L become one line, so e loses
+    |L| - 2 lines, and two lines of the family share at most one point, so
+    no other line is merged.  So the child that adds line i combines its
+    parent's state with one precomputed entry in one operation:
+    ``state & table[i]`` for s = 3, ``state - table[i]`` for s = 2.
+    Beside ``compat``, with its m bits per candidate line, ``table`` holds
+    C(p, t) bits per line for s = 3, never more than m since t > 3, and
+    p * w bits, a few bytes, for s = 2.  Adding a line only removes arcs
+    and merges lines, so a free node's children are free as well.
 
     A free node is scored in closed form: its blow-up with multiplicities
     mu has e3(mu) - sum over long lines L of e3(mu|L) bases, e3 being the
