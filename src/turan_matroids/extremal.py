@@ -20,9 +20,11 @@ change nothing, because that witness refutes every leaf in it and no
 stem lies in C(t, s) of the edges it may still choose
 (``DaisyRows.stars``), is counted in closed form (``_bound_tree``)
 instead of walked; the node counts and the budget are those of the full
-walk.  The tree is split at a fixed depth into subtrees that run in
-fixed order under one node budget, each getting whatever its
-predecessors left unspent, so results and counters are deterministic.
+walk.  A node that may still choose more edges than the stars can hold
+with fewer than C(t, s) in each is not tested for this at all.  The
+tree is split at a fixed depth into subtrees that run in fixed order
+under one node budget, each getting whatever its predecessors left
+unspent, so results and counters are deterministic.
 """
 
 from __future__ import annotations
@@ -192,52 +194,6 @@ def _witness_masks(witness, index):
     return need, repair
 
 
-def _sparse_gates(rows, threshold):
-    """Where the generic search tests that no daisy can complete below a
-    node, and what the chosen family must miss for the test to pass.
-
-    At the node that decides edge idx, ``upper`` is the chosen family and
-    every edge from idx on.  The test passes when every stem lies in
-    fewer than k = C(t, s) edges of ``upper`` (``rows.stars``).  Returns
-    (ceiling, forbid), each indexed by idx:
-
-    - ceiling[idx] is the most edges ``upper`` may hold, or -1 where the
-      test is skipped.  Each edge lies in C(r, s) stars, so more than
-      (k - 1) * #stems / C(r, s) edges fill some star.  The test is
-      skipped while the edges from idx on alone fill a star, and where
-      fewer than three edges are left: such a subtree has at most seven
-      nodes, and testing there costs more than it saves on searches where
-      the test seldom passes.  Every node the bound keeps holds at least
-      the incumbent's count in ``upper``, so a ceiling below the catalog
-      seed skips all tests.
-    - forbid[idx] is the union of the stars that hold exactly k - 1 of
-      the edges from idx on; the chosen family must miss them.
-    """
-    m, k = len(rows.edges), comb(rows.t, rows.s)
-    dense = (k - 1) * comb(rows.n, rows.k - rows.s) // comb(rows.k, rows.s)
-    ceiling, forbid = [-1] * m, [0] * m
-    if dense < threshold:
-        return ceiling, forbid
-    first, spans = 0, []
-    for star in rows.stars.values():
-        # drop the k - 1 highest edges; fewer than k are left from idx on
-        # exactly when idx >= top.bit_length()
-        top = star
-        for _ in range(min(k - 1, star.bit_count())):
-            top ^= 1 << top.bit_length() - 1
-        first = max(first, top.bit_length())
-        highest = star ^ top
-        if k > 1 and highest.bit_count() == k - 1:
-            spans.append((top.bit_length(), (highest & -highest).bit_length() - 1, star))
-    last = m - 3
-    for i in range(first, last + 1):
-        ceiling[i] = dense
-    for lo, hi, star in spans:
-        for i in range(max(lo, first), min(hi, last) + 1):
-            forbid[i] |= star
-    return ceiling, forbid
-
-
 def _bound_tree(rows, q: int, slack: int):
     """(nodes, pruned_bound) of the walk below a node with ``q`` edges
     left to decide and ``slack`` = count + q - best >= -1, when every
@@ -261,7 +217,7 @@ def _bound_tree(rows, q: int, slack: int):
     return rows[q][min(slack, q) + 1]
 
 
-def _subtree_search(rows, gates, prefix_bits, depth, threshold, budget, cap):
+def _subtree_search(rows, prefix_bits, depth, threshold, budget, cap):
     """Walk one fixed prefix of include/exclude decisions depth first in
     one loop, counting at most ``budget`` >= 1 nodes; returns
     (best, witness_families, nodes, pruned_daisy, pruned_bound, exhausted).
@@ -293,10 +249,21 @@ def _subtree_search(rows, gates, prefix_bits, depth, threshold, budget, cap):
     the witness or the champions, and the subtree is the plain
     bound-pruned tree of ``_bound_tree``.  Its nodes and bound prunes are
     added unless the budget would end inside it, in which case it is
-    walked.  ``gates`` (``_sparse_gates``) says where to test and rejects
-    most failing nodes before the stars are read.  So the search counts
-    and keeps exactly what a full check at every leaf of the whole tree
-    would."""
+    walked.  So the search counts and keeps exactly what a full check at
+    every leaf of the whole tree would.
+
+    The test is made only where three or more edges are left: a smaller
+    subtree has at most seven nodes, and testing there costs more than it
+    saves on searches where the test seldom passes.  Two cheap checks
+    ahead of the star scan reject only nodes where the scan fails.  Each
+    edge lies in C(r, s) stars, so ``upper`` fills some star once it holds
+    more than ``dense`` = (C(t, s) - 1) * #stems / C(r, s) edges; every
+    node the bound keeps holds at least the incumbent's count in
+    ``upper``, so with a catalog seed above ``dense`` no node is tested
+    and the stars are never read.  And a star that holds C(t, s) edges of
+    ``upper`` fails the scan: the one that failed it last (``hot``) is
+    read first, since the next tested node's ``upper`` often fills it
+    too."""
     edges, index = rows.edges, rows.index
     n, m = rows.n, len(edges)
     fam = count = 0
@@ -312,10 +279,9 @@ def _subtree_search(rows, gates, prefix_bits, depth, threshold, budget, cap):
     # ``need`` holds an index past the last edge and refutes no family
     need, repair = 1 << m, 0
     full = (1 << m) - 1
-    ceiling, forbid = gates
-    # the stars are read only where some ceiling asks for the test
-    stars = list(rows.stars.values()) if max(ceiling) >= 0 else []
     min_edges = comb(rows.t, rows.s)
+    dense = (min_edges - 1) * comb(n, rows.k - rows.s) // comb(rows.k, rows.s)
+    stars = list(rows.stars.values()) if dense >= threshold else []
     hot = 0  # the star that last held C(t, s) edges of ``upper``
     tree_rows = []  # the table of _bound_tree
 
@@ -359,7 +325,7 @@ def _subtree_search(rows, gates, prefix_bits, depth, threshold, budget, cap):
             pruned_bound += 1
         else:
             below = 0
-            if count + left <= ceiling[idx] and not fam & forbid[idx] and fam & need == need:
+            if left >= 3 and count + left <= dense and fam & need == need:
                 upper = fam | full >> idx << idx
                 if (
                     not upper & repair
@@ -414,7 +380,6 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     seed = best_known_construction(n, r, s, t)
     threshold = seed.basis_count if seed is not None else 0
     rows = DaisyRows(n, r, s, t)
-    gates = _sparse_gates(rows, threshold)
 
     depth = min(SPLIT_DEPTH, m)
     left = opts.max_nodes
@@ -422,7 +387,7 @@ def search_ex(n: int, r: int, s: int, t: int, opts: SearchOptions | None = None)
     for prefix in range(1 << depth):
         if left <= 0:
             break
-        res = _subtree_search(rows, gates, prefix, depth, threshold, left, opts.witness_cap)
+        res = _subtree_search(rows, prefix, depth, threshold, left, opts.witness_cap)
         results.append(res)
         left -= res[2]
     exhaustive = len(results) == 1 << depth and not any(res[5] for res in results)
@@ -605,8 +570,9 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     compositions of n into p parts and their e3 are computed once per
     point count, on its first free node, and each line's vector of
     e3(mu|L) on first use; the first composition in lexicographic order
-    attaining the maximum is the node's multiplicity vector.  Only a node
-    that joins the champions builds its matroid.
+    attaining the maximum is the node's multiplicity vector.  A champion
+    is kept as its point count, lines and multiplicities, and only the
+    final champions' matroids are built, once the walk is done.
 
     Exhaustive only while opts.rank3_point_cap reaches n; line families on
     more simple points than the cap are not visited and the report is
@@ -667,7 +633,7 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
                     best = val
                     champions = []
                 if val == best and len(champions) < opts.witness_cap:
-                    champions.append(parallel_blowup(rank3_from_lines(p, family), mult).bases)
+                    champions.append((p, tuple(family), mult))
             while avail:
                 low = avail & -avail
                 avail ^= low
@@ -681,7 +647,10 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
         dfs([], (1 << m) - 1, root)
 
     exhaustive = (p_cap >= n) and not exhausted
-    witnesses = _witnesses(n, champions, opts.witness_cap)
+    families = [
+        parallel_blowup(rank3_from_lines(p, lines), mult).bases for p, lines, mult in champions
+    ]
+    witnesses = _witnesses(n, families, opts.witness_cap)
     return SearchReport(
         n, 3, s, t, best, witnesses, nodes, pruned_forbidden, 0, exhaustive
     )

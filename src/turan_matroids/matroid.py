@@ -130,11 +130,15 @@ def rank_of(M: Matroid, X: int) -> int:
 
 def closure(M: Matroid, X: int) -> int:
     """Maximal superset of X with the same rank: X plus every element that
-    lies in no basis b with |b & X| = r(X)."""
-    rx = rank_of(M, X)
-    outside = 0
+    lies in no basis b with |b & X| = r(X).  One pass finds r(X) as the
+    largest trace and the union of the bases that attain it."""
+    _check_subset(M, X)
+    rx, outside = -1, 0
     for b in M.bases:
-        if (b & X).bit_count() == rx:
+        size = (b & X).bit_count()
+        if size > rx:
+            rx, outside = size, b
+        elif size == rx:
             outside |= b
     return X | (M.full_mask & ~outside)
 

@@ -211,13 +211,18 @@ def test_search_full_exchange_checks_pinned(monkeypatch):
         assert counters + (len(calls),) == expected
 
 
-# (calls, hits) of the incremental daisy check in the LEAF_CHECKS searches:
-# one call per edge added in the prefixes and at the visited nodes; the
-# subtrees of (6, 3, 2, 5) that are counted without a visit add none
+# (calls, hits) of the incremental daisy check in the LEAF_CHECKS and
+# SEARCH_COUNTERS searches: one call per edge added in the prefixes and at
+# the visited nodes; the subtrees that are counted without a visit add
+# none, so these pin which subtrees are counted
 DAISY_CHECKS = {
     (6, 3, 3, 4): (139_989, 50_545),
     (6, 3, 2, 5): (15_164, 1_345),
     (7, 2, 2, 3): (31_367, 16_853),
+    (5, 3, 2, 4): (396, 39),
+    (6, 3, 1, 3): (38_081, 21_447),
+    (6, 4, 2, 4): (5_924, 1_177),
+    (6, 2, 2, 4): (1_137, 290),
 }
 
 
@@ -305,29 +310,14 @@ def test_bound_tree_matches_walk():
     assert extremal._bound_tree([], 12, 5) == _bound_tree_walk(12, 5)
 
 
-def test_sparse_gates_match_stars():
-    # ceiling[idx] >= 0 exactly on the tested indices, and forbid[idx] is
-    # the union of the stars holding exactly C(t, s) - 1 edges from idx on
+def test_daisy_rows_stars_match_stems():
+    # stars[S] holds the indices of exactly the edges that contain the stem S
     for n, r, s, t in ((6, 3, 2, 5), (6, 3, 1, 3), (6, 4, 2, 4), (7, 3, 2, 5), (5, 2, 2, 5)):
         rows = DaisyRows(n, r, s, t)
-        m, k = len(rows.edges), comb(t, s)
-        stars = list(rows.stars.values())
-        assert sorted(stars) == sorted(
+        assert sorted(rows.stars.values()) == sorted(
             mask_of(i for i, e in enumerate(rows.edges) if e & stem == stem)
             for stem in map(mask_of, combinations(range(n), r - s))
         )
-        dense = (k - 1) * len(stars) // comb(r, s)
-        for threshold in (0, dense, dense + 1):
-            ceiling, forbid = extremal._sparse_gates(rows, threshold)
-            for idx in range(m):
-                loads = [(star >> idx).bit_count() for star in stars]
-                tested = threshold <= dense and idx <= m - 3 and max(loads) < k
-                assert ceiling[idx] == (dense if tested else -1), (n, r, s, t, idx)
-                if tested:
-                    held = [star for star, load in zip(stars, loads) if load == k - 1]
-                    assert forbid[idx] == mask_of(
-                        i for i in range(m) if any(star >> i & 1 for star in held)
-                    ), (n, r, s, t, idx)
 
 
 def test_search_forbidding_u11_finds_nothing():
@@ -491,14 +481,14 @@ def test_rank3_blowup_value_matches_bases():
 
 
 # (max_bases, nodes_explored, pruned_daisy, pruned_bound) of the benchmark's
-# three rank-3 searches, and how many of their nodes join the champions,
-# the only ones that build a matroid
+# three rank-3 searches, and how many final champions they have, the only
+# nodes whose matroid is built
 RANK3_COUNTERS = {
     (7, 3, 5): (30, 8_783, 6_763, 0),
     (7, 2, 4): (28, 8_783, 8_697, 0),
     (7, 3, 4): (20, 8_783, 8_755, 0),
 }
-RANK3_BUILDS = {(7, 3, 5): 58, (7, 2, 4): 49, (7, 3, 4): 16}
+RANK3_BUILDS = {(7, 3, 5): 16, (7, 2, 4): 16, (7, 3, 4): 6}
 
 
 def test_rank3_counters_pinned(monkeypatch):

@@ -70,6 +70,23 @@ def test_public_names_are_read_by_the_package():
     assert sorted(defined - read - {"daisy"}) == []
 
 
+def test_private_names_are_read_by_the_package():
+    # a private function or class that nothing outside its own definition
+    # reads is dead code, whatever the tests still call it for
+    definitions, readers = [], []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            readers.append((node, names_read(node)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                definitions.append((path.name, node))
+    unread = [
+        (module, node.name)
+        for module, node in definitions
+        if not any(node.name in read for reader, read in readers if reader is not node)
+    ]
+    assert unread == []
+
+
 def test_oracles_import_no_private_names():
     # an oracle that imports a fast path's private helper checks it against itself
     tree = ast.parse((TESTS / "oracles.py").read_text())
