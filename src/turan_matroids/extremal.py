@@ -238,7 +238,11 @@ def _subtree_search(rows, prefix_bits, depth, threshold, budget, cap):
     in this subtree still refutes it (``_witness_masks``).  Otherwise it
     gets the full check, and a violation found there becomes the new
     witness.  A leaf is accepted only by the full check and rejected only
-    by a re-verified violation.
+    by a re-verified violation.  A leaf that only ties the incumbent once
+    ``cap`` champions are kept is skipped unchecked: accepted, it would
+    not be kept, and rejected, it would change only the witness, which
+    decides which leaves are checked and which subtrees are counted
+    rather than walked, never what the walk reports.
 
     A node whose subtree is already decided is counted, not walked.  Let
     ``upper`` be its chosen edges and the undecided ones; every family
@@ -297,6 +301,8 @@ def _subtree_search(rows, prefix_bits, depth, threshold, budget, cap):
         nonlocal best, witnesses, need, repair
         if not count or count < best:
             return
+        if count == best and len(witnesses) >= cap:
+            return  # neither outcome of the check would change the report
         if fam & need == need and not fam & repair:
             return
         family = [edges[i] for i in bit_indices(fam)]

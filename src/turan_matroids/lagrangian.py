@@ -8,6 +8,12 @@ uniform start plus seeded random restarts.  Loops and parallel copies never
 change the optimum, so the iteration runs on the simplification and the
 optimal weights are placed on class representatives.
 
+Each iterate is evaluated in one pass: the basis products at x are formed
+once, p(x) is summed from them, and the next step's gradient is read from
+the same products, so no product is formed twice per iterate.  Every sum
+is correctly rounded, so the iterates do not depend on how the terms are
+grouped.
+
 There is no global-optimality guarantee from the iteration itself; when the
 caller supplies the field-size parameter t of a known minor-free family,
 the exact upper bound b(r,t)((t-1)/(t^r-1))^r certifies optimality whenever
@@ -37,46 +43,63 @@ class _BasisPolynomial:
     """p and its gradient for one matroid, evaluated with array arithmetic.
 
     ``cols`` has one row per basis, holding its elements in ascending order.
-    Products are formed one factor position at a time over all bases, so
-    every monomial is still the product of its factors left to right in
-    that order.  ``order`` and ``starts`` group the gradient's terms by
-    coordinate.  Every sum is one ``math.fsum``, which rounds correctly, so
-    its result does not depend on the order of the terms.
+    ``at(x)`` forms the products at x once, one factor position at a time
+    over all bases, so every monomial is still the product of its factors
+    left to right in that order; p and the gradient are both read from
+    them (``_Point``).  ``order`` and ``slices`` group the gradient's terms
+    by coordinate.  Every sum is one ``math.fsum`` over a float64 buffer,
+    read through a ``memoryview`` without copying it to a list; ``fsum``
+    rounds correctly, so its result does not depend on the order of the
+    terms.
     """
 
     def __init__(self, M: Matroid):
-        self.n = M.n
         self.r = M.r
         self.cols = np.array(
             [list(bit_indices(b)) for b in M.bases], dtype=np.intp
         ).reshape(len(M.bases), M.r)
         flat = self.cols.T.ravel()
         self.order = np.argsort(flat, kind="stable")
-        self.starts = np.searchsorted(flat[self.order], np.arange(M.n + 1)).tolist()
+        starts = np.searchsorted(flat[self.order], np.arange(M.n + 1)).tolist()
+        self.slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
 
-    def _products(self, x):
-        """The factors ``xs[j]`` of the bases and ``pre``, where ``pre[j]``
-        is the product of their first j factors (``pre[r]``, the monomials)."""
+    def at(self, x) -> "_Point":
+        """The point x with p(x) summed; ``pre[j]`` is the product of the
+        first j factors ``xs[j]`` of every basis (``pre[r]``, the monomials)."""
         xs = x[self.cols.T]
         pre = np.empty((self.r + 1, len(self.cols)))
         pre[0] = 1.0
         for j in range(self.r):
             np.multiply(pre[j], xs[j], out=pre[j + 1])
-        return xs, pre
+        return _Point(self, xs, pre)
 
-    def value(self, x) -> float:
-        return math.fsum(self._products(x)[1][-1].tolist())
 
-    def gradient(self, x) -> np.ndarray:
-        # the term omitting factor j is the product of the factors before
-        # it, then times each factor after it, in ascending order
-        xs, pre = self._products(x)
-        terms = pre[:-1]
-        for j in range(1, self.r):
-            terms[:j] *= xs[j]
-        flat = terms.ravel().take(self.order).tolist()
-        s = self.starts
-        return np.array([math.fsum(flat[s[i] : s[i + 1]]) for i in range(self.n)])
+class _Point:
+    """p at one point, and its gradient read from the same products.
+
+    The gradient's terms overwrite the prefix products ``pre[:-1]`` in
+    place, so they are formed on the first read of ``gradient()`` and
+    every later read returns that same array.
+    """
+
+    __slots__ = ("value", "_poly", "_xs", "_pre", "_grad")
+
+    def __init__(self, poly: _BasisPolynomial, xs, pre):
+        self.value = math.fsum(memoryview(pre[-1]))
+        self._poly, self._xs, self._pre = poly, xs, pre
+        self._grad = None
+
+    def gradient(self) -> np.ndarray:
+        if self._grad is None:
+            # the term omitting factor j is the product of the factors
+            # before it, then times each factor after it, in ascending order
+            xs, terms = self._xs, self._pre[:-1]
+            for j in range(1, self._poly.r):
+                terms[:j] *= xs[j]
+            flat = memoryview(terms.ravel().take(self._poly.order))
+            self._grad = np.array([math.fsum(flat[s]) for s in self._poly.slices])
+            self._xs = self._pre = None
+        return self._grad
 
 
 def _checked_point(M: Matroid, x) -> np.ndarray:
@@ -88,13 +111,13 @@ def _checked_point(M: Matroid, x) -> np.ndarray:
 
 def poly_eval(M: Matroid, x) -> float:
     """p(x): compensated sum of the basis monomials."""
-    return _BasisPolynomial(M).value(_checked_point(M, x))
+    return _BasisPolynomial(M).at(_checked_point(M, x)).value
 
 
 def poly_gradient(M: Matroid, x) -> np.ndarray:
     """Partial derivatives dp/dx_i = sum over bases through i of the
     complementary monomials."""
-    return _BasisPolynomial(M).gradient(_checked_point(M, x))
+    return _BasisPolynomial(M).at(_checked_point(M, x)).gradient()
 
 
 @dataclass(frozen=True)
@@ -118,18 +141,19 @@ def _fixed_point_run(poly: _BasisPolynomial, x0, tol, max_iter):
     if s <= 0:
         return 0.0, x, 0, False
     x /= s
-    value = poly.value(x)
+    point = poly.at(x)
+    value = point.value
     for it in range(1, max_iter + 1):
         if value <= 0:
             return value, x, it, False
-        grad = poly.gradient(x)
-        x = x * grad / (poly.r * value)
+        x = x * point.gradient() / (poly.r * value)
         x[x < FREEZE_EPS] = 0.0
         total = x.sum()
         if total <= 0:
             return value, x, it, False
         x /= total
-        new_value = poly.value(x)
+        point = poly.at(x)
+        new_value = point.value
         if abs(new_value - value) <= tol:
             return new_value, x, it, True
         value = new_value

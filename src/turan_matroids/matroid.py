@@ -42,9 +42,12 @@ def exchange_violation(n: int, family):
     The exchange check runs once per (B1, x), not once per pair.  Let
     D = {x} | {y not in B1 : B1 - x + y in F}.  A member B2 fails against
     (B1, x) exactly when B2 & D == 0: then x is not in B2 and no y in
-    B2 - B1 repairs B1 - x.  For a matroid, D is the fundamental cocircuit
-    of x with respect to B1, so few distinct D occur; the smallest member
-    disjoint from each D is found once per D by a scan of F.
+    B2 - B1 repairs B1 - x.  D is the link of the (r-1)-set B1 - x, the
+    mask of the z with (B1 - x) + z in F, so one pass over the members
+    builds every link and D is one dictionary read.  For a matroid, D is
+    the fundamental cocircuit of x with respect to B1, so few distinct D
+    occur; the smallest member disjoint from each D is found once per D by
+    a scan of F.
 
     The witness is the first violation in (B1, B2, x) order over sorted
     masks: the smallest B1 with a violation, then the smallest B2 that
@@ -55,29 +58,33 @@ def exchange_violation(n: int, family):
         raise MatroidError("basis family must be nonempty")
     full = (1 << n) - 1 if n else 0
     r = members[0].bit_count()
+    link = {}  # (r-1)-set S -> mask of the z with S + z a member
+    get = link.get
     for b in members:
         if b & ~full:
             return ("range", b, None)
         if b.bit_count() != r:
             return ("size", members[0], b)
-    family_set = set(members)
+        rest = b
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            link[b ^ bit] = get(b ^ bit, 0) | bit
     avoider = {}  # D -> smallest member disjoint from D, or None
     for b1 in members:
-        outside = [1 << y for y in bit_indices(full & ~b1)]
         witness = None
-        for x in bit_indices(b1):
-            removed = b1 & ~(1 << x)
-            d = 1 << x
-            for y_bit in outside:
-                if removed | y_bit in family_set:
-                    d |= y_bit
+        rest = b1
+        while rest:  # x in ascending order, as its bit
+            bit = rest & -rest
+            rest ^= bit
+            d = link[b1 ^ bit]
             if d not in avoider:
                 avoider[d] = next((b for b in members if not b & d), None)
             b2 = avoider[d]
             if b2 is not None and (witness is None or b2 < witness[0]):
-                witness = (b2, x)
+                witness = (b2, bit)
         if witness is not None:
-            return ("exchange", b1, witness[0], witness[1])
+            return ("exchange", b1, witness[0], witness[1].bit_length() - 1)
     return None
 
 

@@ -434,11 +434,20 @@ class OraclePolynomial:
         self.M = M
         self.r = M.r
 
-    def value(self, x) -> float:
-        return poly_eval_oracle(self.M, x)
+    def at(self, x) -> "OraclePoint":
+        return OraclePoint(self.M, x)
 
-    def gradient(self, x) -> np.ndarray:
-        return poly_gradient_oracle(self.M, x)
+
+class OraclePoint:
+    """Stands in for ``lagrangian._Point``: p at x, and dp at x on request."""
+
+    def __init__(self, M: Matroid, x):
+        self.M = M
+        self.x = np.array(x, dtype=float)
+        self.value = poly_eval_oracle(M, self.x)
+
+    def gradient(self) -> np.ndarray:
+        return poly_gradient_oracle(self.M, self.x)
 
 
 def lines_of_oracle(M: Matroid):

@@ -211,6 +211,24 @@ def test_search_full_exchange_checks_pinned(monkeypatch):
         assert counters + (len(calls),) == expected
 
 
+def test_search_skips_ties_once_the_witness_list_is_full(monkeypatch):
+    # every family of singletons is a rank-1 matroid, so no check fails and
+    # no exchange witness forms; a leaf that ties the incumbent after the
+    # list holds its one champion is not checked
+    calls = []
+
+    def counted(n, family):
+        calls.append(n)
+        return exchange_violation(n, family)
+
+    monkeypatch.setattr(extremal, "exchange_violation", counted)
+    rep = search_ex(19, 1, 1, 7)
+    counters = (rep.max_bases, rep.nodes_explored, rep.pruned_daisy, rep.pruned_bound)
+    assert counters + (rep.exhaustive,) == (6, 127_892, 50_388, 3_060, True)
+    assert [W.bases for W in rep.witnesses] == [(16, 32, 64, 128, 256, 512)]
+    assert len(calls) == 256
+
+
 # (calls, hits) of the incremental daisy check in the LEAF_CHECKS and
 # SEARCH_COUNTERS searches: one call per edge added in the prefixes and at
 # the visited nodes; the subtrees that are counted without a visit add

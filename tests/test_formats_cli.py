@@ -19,7 +19,7 @@ from turan_matroids.formats import (
     serialize_matroid,
     serialize_matroid_json,
 )
-from turan_matroids.geometry import projective_geometry, uniform
+from turan_matroids.geometry import projective_geometry, two_disjoint_lines, uniform
 from turan_matroids.matroid import MatroidError, direct_sum
 
 
@@ -168,6 +168,34 @@ def test_cli_lagrangian_certified():
     doc = json.loads(out)
     assert doc["certified"] is True
     assert doc["exact_bound"] == "4/49"
+
+
+# exact stdout of ``lagrangian --bound-t 3 --json --precision 17``, so that
+# a change to the order in which p and its gradient are evaluated cannot
+# silently move a last digit; PG(3,3) wins from the uniform start in one
+# step, and the two lines of 5 and 4 points need 11
+PG33_ARGMAX = ", ".join(["0.07692307692307694"] * 13)
+LINES54_ARGMAX = ", ".join(["0.10161169858929098"] * 5 + ["0.12298537676338628"] * 4)
+LAGRANGIAN_PINNED = [
+    (
+        projective_geometry(3, 3),
+        f'{{"argmax": [{PG33_ARGMAX}], "bound": 0.10650887573964497, "certified": true,'
+        ' "converged": true, "gap": -6e-17, "iterations": 1, "restarts": 17,'
+        ' "value": 0.10650887573964503}\n',
+    ),
+    (
+        two_disjoint_lines(5, 4),
+        f'{{"argmax": [{LINES54_ARGMAX}], "bound": 0.10650887573964497, "certified": false,'
+        ' "converged": true, "gap": 0.00960868722362376, "iterations": 11, "restarts": 17,'
+        ' "value": 0.09690018851602121}\n',
+    ),
+]
+
+
+def test_cli_lagrangian_last_digits_pinned():
+    argv = ["lagrangian", "--bound-t", "3", "--json", "--precision", "17"]
+    for M, expected in LAGRANGIAN_PINNED:
+        assert run_cli(argv, stdin_text=serialize_matroid(M)) == (0, expected)
 
 
 def test_cli_lagrangian_bound_not_applicable():

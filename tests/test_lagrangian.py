@@ -74,8 +74,24 @@ def test_poly_rejects_wrong_length():
         poly_gradient(uniform(2, 3), [0.25] * 4)
 
 
+def test_point_gradient_read_twice():
+    # the gradient overwrites the point's prefix products, so a second read
+    # must return what the first one did, not terms formed from them again
+    npr = np.random.default_rng(16)
+    for M in (projective_geometry(3, 3), uniform(4, 7), uniform(1, 4), fano_blowup()):
+        x = npr.exponential(size=M.n)
+        x /= x.sum()
+        point = _BasisPolynomial(M).at(x)
+        first = point.gradient().copy()
+        assert np.array_equal(point.gradient(), first)
+        assert np.array_equal(first, poly_gradient_oracle(M, x))
+        assert point.value == poly_eval_oracle(M, x)
+
+
 def test_maximize_matches_oracle_driven_run(rng, monkeypatch):
     matroids = [projective_geometry(3, 3), fano_blowup(), two_disjoint_lines(7, 7)]
+    # rank 4, 60 bases, 10 iterations: the gradient multiplies terms[:j] for j = 1..3
+    matroids.append(direct_sum(two_disjoint_lines(3, 4), uniform(1, 2)))
     matroids += [random_linear_matroid(rng, max_n=8) for _ in range(20)]
     fast = [maximize(M) for M in matroids]
     monkeypatch.setattr(lagrangian, "_BasisPolynomial", OraclePolynomial)
