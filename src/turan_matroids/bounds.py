@@ -177,12 +177,15 @@ def prime_band(r: int, t: int, c: Fraction = Fraction(1)):
 
     Returns (lower, upper, q) with q the largest prime power <= t; lower is
     the exact density at q and upper adds a heuristic width C r! / t^(2-0.525)
-    with configurable constant C (the true constant is only known to exist).
+    with configurable constant C >= 0 (the true constant is only known to
+    exist).
     The rational width uses a truncated-from-below value of t^1.475 so the
     band is conservative.
     """
     if r < 2 or t < 2:
         raise MatroidError("need r >= 2 and t >= 2")
+    if c < 0:
+        raise MatroidError(f"need c >= 0, got {c}: a negative width puts upper below lower")
     q = largest_prime_power_leq(t)
     lower = u2_density(r, q)
     scale = 1 << 40

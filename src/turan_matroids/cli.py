@@ -281,6 +281,8 @@ def cmd_tables(args) -> int:
     else:  # kind == "ex"
         s, t = _forbid_pair(args.forbid)
         n_values = _n_range(args.n_range)
+        if n_values[-1] < args.r:
+            raise MatroidError(f"--n-range {args.n_range!r} has no n >= --r {args.r}, so no rows")
         writer.writerow(["n", "r", "s", "t", "max_bases", "binomial", "density", "exhaustive"])
         opts = SearchOptions(max_nodes=args.max_nodes)
         for row in density_rows(args.r, s, t, n_values, opts):

@@ -580,9 +580,12 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
     is kept as its point count, lines and multiplicities, and only the
     final champions' matroids are built, once the walk is done.
 
-    Exhaustive only while opts.rank3_point_cap reaches n; line families on
-    more simple points than the cap are not visited and the report is
-    marked partial, since their count grows explosively.
+    Line families on more simple points than opts.rank3_point_cap are not
+    visited, since their count grows explosively.  The report is
+    exhaustive when the cap reaches every point count a free simple
+    matroid can have: n for s = 3, and min(n, 1 + (t-1)(t-2)) for s = 2,
+    since without a U(2,t)-minor every point lies on at most t - 1 lines
+    and every line has at most t - 1 points (Kung's q^2 + q + 1, q = t - 2).
     """
     opts = opts or SearchOptions()
     if s not in (2, 3):
@@ -593,6 +596,8 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
         raise MatroidError("every rank-3 matroid has a U(3,3)-minor")
     if n < 3:
         raise MatroidError("rank 3 needs n >= 3")
+    if n > MAX_GROUND_SET:
+        raise MatroidError("ground set too large")
 
     budget = opts.max_nodes
     nodes = 0
@@ -652,7 +657,8 @@ def search_ex_rank3(n: int, s: int, t: int, opts: SearchOptions | None = None) -
 
         dfs([], (1 << m) - 1, root)
 
-    exhaustive = (p_cap >= n) and not exhausted
+    most_points = n if s == 3 else min(n, 1 + (t - 1) * (t - 2))
+    exhaustive = p_cap >= most_points and not exhausted
     families = [
         parallel_blowup(rank3_from_lines(p, lines), mult).bases for p, lines, mult in champions
     ]

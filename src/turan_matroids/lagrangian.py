@@ -9,8 +9,8 @@ change the optimum, so the iteration runs on the simplification and the
 optimal weights are placed on class representatives.
 
 Each iterate is evaluated in one pass: the basis products at x are formed
-once, p(x) is summed from them, and the next step's gradient is read from
-the same products, so no product is formed twice per iterate.  Every sum
+once, and p(x) and the next step's gradient are both summed from them, so
+no product is formed twice per iterate.  Every sum
 is correctly rounded, so the iterates do not depend on how the terms are
 grouped.
 
@@ -46,8 +46,8 @@ class _BasisPolynomial:
     ``at(x)`` forms the products at x once, one factor position at a time
     over all bases, so every monomial is still the product of its factors
     left to right in that order; p and the gradient are both read from
-    them (``_Point``).  ``order`` and ``slices`` group the gradient's terms
-    by coordinate.  Every sum is one ``math.fsum`` over a float64 buffer,
+    them.  ``order`` and ``slices`` group the gradient's terms by
+    coordinate.  Every sum is one ``math.fsum`` over a float64 buffer,
     read through a ``memoryview`` without copying it to a list; ``fsum``
     rounds correctly, so its result does not depend on the order of the
     terms.
@@ -63,43 +63,22 @@ class _BasisPolynomial:
         starts = np.searchsorted(flat[self.order], np.arange(M.n + 1)).tolist()
         self.slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
 
-    def at(self, x) -> "_Point":
-        """The point x with p(x) summed; ``pre[j]`` is the product of the
+    def at(self, x) -> tuple[float, np.ndarray]:
+        """(p(x), grad p(x)) from one pass; ``pre[j]`` is the product of the
         first j factors ``xs[j]`` of every basis (``pre[r]``, the monomials)."""
         xs = x[self.cols.T]
         pre = np.empty((self.r + 1, len(self.cols)))
         pre[0] = 1.0
         for j in range(self.r):
             np.multiply(pre[j], xs[j], out=pre[j + 1])
-        return _Point(self, xs, pre)
-
-
-class _Point:
-    """p at one point, and its gradient read from the same products.
-
-    The gradient's terms overwrite the prefix products ``pre[:-1]`` in
-    place, so they are formed on the first read of ``gradient()`` and
-    every later read returns that same array.
-    """
-
-    __slots__ = ("value", "_poly", "_xs", "_pre", "_grad")
-
-    def __init__(self, poly: _BasisPolynomial, xs, pre):
-        self.value = math.fsum(memoryview(pre[-1]))
-        self._poly, self._xs, self._pre = poly, xs, pre
-        self._grad = None
-
-    def gradient(self) -> np.ndarray:
-        if self._grad is None:
-            # the term omitting factor j is the product of the factors
-            # before it, then times each factor after it, in ascending order
-            xs, terms = self._xs, self._pre[:-1]
-            for j in range(1, self._poly.r):
-                terms[:j] *= xs[j]
-            flat = memoryview(terms.ravel().take(self._poly.order))
-            self._grad = np.array([math.fsum(flat[s]) for s in self._poly.slices])
-            self._xs = self._pre = None
-        return self._grad
+        value = math.fsum(memoryview(pre[-1]))
+        # the term omitting factor j is the product of the factors before
+        # it, then times each factor after it, in ascending order
+        terms = pre[:-1]
+        for j in range(1, self.r):
+            terms[:j] *= xs[j]
+        flat = memoryview(terms.ravel().take(self.order))
+        return value, np.array([math.fsum(flat[s]) for s in self.slices])
 
 
 def _checked_point(M: Matroid, x) -> np.ndarray:
@@ -111,13 +90,13 @@ def _checked_point(M: Matroid, x) -> np.ndarray:
 
 def poly_eval(M: Matroid, x) -> float:
     """p(x): compensated sum of the basis monomials."""
-    return _BasisPolynomial(M).at(_checked_point(M, x)).value
+    return _BasisPolynomial(M).at(_checked_point(M, x))[0]
 
 
 def poly_gradient(M: Matroid, x) -> np.ndarray:
     """Partial derivatives dp/dx_i = sum over bases through i of the
     complementary monomials."""
-    return _BasisPolynomial(M).at(_checked_point(M, x)).gradient()
+    return _BasisPolynomial(M).at(_checked_point(M, x))[1]
 
 
 @dataclass(frozen=True)
@@ -141,19 +120,17 @@ def _fixed_point_run(poly: _BasisPolynomial, x0, tol, max_iter):
     if s <= 0:
         return 0.0, x, 0, False
     x /= s
-    point = poly.at(x)
-    value = point.value
+    value, grad = poly.at(x)
     for it in range(1, max_iter + 1):
         if value <= 0:
             return value, x, it, False
-        x = x * point.gradient() / (poly.r * value)
+        x = x * grad / (poly.r * value)
         x[x < FREEZE_EPS] = 0.0
         total = x.sum()
         if total <= 0:
             return value, x, it, False
         x /= total
-        point = poly.at(x)
-        new_value = point.value
+        new_value, grad = poly.at(x)
         if abs(new_value - value) <= tol:
             return new_value, x, it, True
         value = new_value

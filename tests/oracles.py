@@ -434,20 +434,9 @@ class OraclePolynomial:
         self.M = M
         self.r = M.r
 
-    def at(self, x) -> "OraclePoint":
-        return OraclePoint(self.M, x)
-
-
-class OraclePoint:
-    """Stands in for ``lagrangian._Point``: p at x, and dp at x on request."""
-
-    def __init__(self, M: Matroid, x):
-        self.M = M
-        self.x = np.array(x, dtype=float)
-        self.value = poly_eval_oracle(M, self.x)
-
-    def gradient(self) -> np.ndarray:
-        return poly_gradient_oracle(self.M, self.x)
+    def at(self, x):
+        x = np.array(x, dtype=float)
+        return poly_eval_oracle(self.M, x), poly_gradient_oracle(self.M, x)
 
 
 def lines_of_oracle(M: Matroid):
@@ -678,7 +667,8 @@ def search_ex_rank3_oracle(n: int, s: int, t: int, opts: SearchOptions | None = 
 
         dfs(0, [], False)
 
-    exhaustive = (p_cap >= n) and not exhausted
+    most_points = n if s == 3 else min(n, 1 + (t - 1) * (t - 2))
+    exhaustive = p_cap >= most_points and not exhausted
     witnesses = witness_matroids(n, champions, opts.witness_cap)
     return SearchReport(
         n, 3, s, t, best, witnesses, nodes, pruned_forbidden, 0, exhaustive

@@ -568,6 +568,22 @@ def test_rank3_backend_partial_beyond_point_cap():
     report = search_ex_rank3(8, 3, 5)
     assert not report.exhaustive  # the 8-point two-line witness is out of reach
     assert report.max_bases <= ex_u35(8) == RANK3_CAP8[3, 5][0][0]
+    assert not search_ex_rank3(9, 2, 5).exhaustive  # U(2,5)-free goes up to 13 points
+
+
+# ex(n, 3; U(2,4)) at the default point cap 7, which a simple rank-3 matroid
+# without a U(2,4)-minor never exceeds (n = 10 left out: 0.9 s of labeling)
+RANK3_U24 = {5: 8, 6: 16, 7: 28, 8: 40, 9: 56, 11: 104, 12: 136, 13: 176, 14: 224, 15: 272}
+
+
+def test_rank3_u2t_exhaustive_once_the_cap_reaches_kungs_bound():
+    for n, expected in RANK3_U24.items():
+        rep = search_ex_rank3(n, 2, 4)
+        assert (rep.max_bases, rep.exhaustive) == (expected, True), n
+    rep = search_ex_rank3(8, 2, 4)
+    counters, witnesses = RANK3_CAP8[2, 4]
+    assert rep.max_bases == counters[0]
+    assert [w.bases for w in rep.witnesses] == witnesses
 
 
 def test_rank3_backend_rejects_bad_parameters():

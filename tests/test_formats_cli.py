@@ -153,6 +153,14 @@ def test_cli_bounds_bad_parameters_exit_1(capsys):
         assert err.startswith("error: ") and message in err
 
 
+def test_cli_prime_band_negative_c_exits_1(capsys):
+    # a negative width constant would put the band's upper end below its lower end
+    code, out = run_cli(["bounds", "prime_band", "--r", "3", "--t", "6", "--c", "-5"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "c >= 0" in err
+
+
 def test_cli_binary_search_size_out_of_range(capsys):
     code, out = run_cli(["binary-search", "--r", "3", "--size", "2"])
     assert code == 1 and out == ""
@@ -442,6 +450,25 @@ def test_cli_n_range_past_the_ground_set_limit_exits_1_before_searching(monkeypa
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "--n-range" in err
+
+
+def test_cli_ex_table_without_rows_exits_1(capsys):
+    code, out = run_cli(["tables", "--kind", "ex", "--n-range", "0:2", "--r", "3"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--n-range" in err
+
+
+def test_cli_rank3_search_past_the_ground_set_limit_exits_1_before_walking(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked before checking --n")
+
+    monkeypatch.setattr(extremal, "_BlowupCounts", refuse)
+    argv = ["search", "--backend", "rank3", "--n", "65", "--r", "3", "--forbid", "3,5"]
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "ground set too large" in err
 
 
 @pytest.mark.parametrize(
