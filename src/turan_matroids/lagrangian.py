@@ -10,9 +10,8 @@ optimal weights are placed on class representatives.
 
 Each iterate is evaluated in one pass: the basis products at x are formed
 once, and p(x) and the next step's gradient are both summed from them, so
-no product is formed twice per iterate.  Every sum
-is correctly rounded, so the iterates do not depend on how the terms are
-grouped.
+no product is formed twice per iterate.  Every sum is correctly rounded,
+so the iterates do not depend on how the terms are grouped.
 
 There is no global-optimality guarantee from the iteration itself; when the
 caller supplies the field-size parameter t of a known minor-free family,
