@@ -5,13 +5,20 @@ on stdin/stdout, so invocations compose into pipelines.  Every subcommand
 but ``tables`` (CSV) accepts --json: machine-readable, stable key order.
 
 Exit codes: 0 success, 1 usage or resource errors, 2 reserved for a failed
-certificate or theorem check (so falsifications are unmissable in CI).
+certificate or theorem check (so falsifications are unmissable in CI).  A
+usage error prints the usage and then ``error: <reason>`` on stderr.
+
+``main(argv)`` returns the exit code and can be called many times in one
+process.  The parser is built on the first call and kept; each subcommand
+looks its ``cmd_*`` handler up in this module when it runs, so a handler
+replaced after the parser was built still runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -62,6 +69,7 @@ THEOREM_FAILURE = 2
 class CliParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -450,6 +458,7 @@ def cmd_verify_theorems(args) -> int:
     return THEOREM_FAILURE if failed else 0
 
 
+@functools.cache
 def build_parser() -> CliParser:
     parser = CliParser(prog="turan-matroids")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -484,28 +493,30 @@ def build_parser() -> CliParser:
     bl = psub.add_parser("blowup")
     bl.add_argument("--mult", required=True, help="comma-separated multiplicities")
     add_infile(bl)
+    # the parser is kept, so each handler is called through a lambda that
+    # looks its cmd_* up in this module when the command runs
     for kind_parser in (pg, bb, un, ln, ml, bl):
         add_json(kind_parser)
-        kind_parser.set_defaults(func=cmd_construct)
+        kind_parser.set_defaults(func=lambda args: cmd_construct(args))
 
     p = sub.add_parser("bases", help="count the bases of a matroid")
     add_infile(p)
     add_json(p)
-    p.set_defaults(func=cmd_bases)
+    p.set_defaults(func=lambda args: cmd_bases(args))
 
     p = sub.add_parser("minor", help="uniform-minor detection")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     add_infile(p)
     add_json(p)
-    p.set_defaults(func=cmd_minor)
+    p.set_defaults(func=lambda args: cmd_minor(args))
 
     p = sub.add_parser("restriction", help="uniform-restriction detection")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     add_infile(p)
     add_json(p)
-    p.set_defaults(func=cmd_restriction)
+    p.set_defaults(func=lambda args: cmd_restriction(args))
 
     p = sub.add_parser("lagrangian", help="maximize the basis polynomial")
     p.add_argument("--tol", type=float, default=1e-12)
@@ -517,14 +528,14 @@ def build_parser() -> CliParser:
     p.add_argument("--precision", type=int, default=12)
     add_infile(p)
     add_json(p)
-    p.set_defaults(func=cmd_lagrangian)
+    p.set_defaults(func=lambda args: cmd_lagrangian(args))
 
     p = sub.add_parser("bounds", help="exact rational bound evaluators")
     p.add_argument("selector", choices=list(bounds_mod.CLOSED_FORMS))
     for name in _BOUND_PARAM_NAMES:
         p.add_argument(f"--{name}", type=int, default=None)
     add_json(p)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=lambda args: cmd_bounds(args))
 
     p = sub.add_parser("tables", help="CSV tables of densities or search results")
     p.add_argument("--kind", choices=["density-u2", "ex"], default="density-u2")
@@ -534,7 +545,7 @@ def build_parser() -> CliParser:
     p.add_argument("--forbid", default="2,3")
     p.add_argument("--n-range", default="2:6")
     p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func=lambda args: cmd_tables(args))
 
     p = sub.add_parser("search", help="exact extremal search")
     p.add_argument("--n", type=int, required=True)
@@ -546,7 +557,7 @@ def build_parser() -> CliParser:
     p.add_argument("--rank3-point-cap", type=int, default=7)
     p.add_argument("--emit-witnesses", default=None, help="directory for witness files")
     add_json(p)
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=lambda args: cmd_search(args))
 
     p = sub.add_parser("binary-search", help="max bases over GF(2) vector subsets")
     p.add_argument("--r", type=int, required=True)
@@ -554,24 +565,24 @@ def build_parser() -> CliParser:
     p.add_argument("--witness-cap", type=int, default=16)
     p.add_argument("--emit-witnesses", default=None)
     add_json(p)
-    p.set_defaults(func=cmd_binary_search)
+    p.set_defaults(func=lambda args: cmd_binary_search(args))
 
     p = sub.add_parser("decompose", help="rank-3 greedy line decomposition")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--parity", choices=["odd", "even"], required=True)
     add_infile(p)
     add_json(p)
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=lambda args: cmd_decompose(args))
 
     p = sub.add_parser("classify", help="two-lines / no-U25-minor dichotomy")
     add_infile(p)
     add_json(p)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=lambda args: cmd_classify(args))
 
     p = sub.add_parser("cover", help="exact 2-covering number")
     add_infile(p)
     add_json(p)
-    p.set_defaults(func=cmd_cover)
+    p.set_defaults(func=lambda args: cmd_cover(args))
 
     p = sub.add_parser("truncation-probe", help="largest uniform minor after truncation")
     p.add_argument("--r", type=int, required=True)
@@ -579,20 +590,19 @@ def build_parser() -> CliParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     add_json(p)
-    p.set_defaults(func=cmd_truncation_probe)
+    p.set_defaults(func=lambda args: cmd_truncation_probe(args))
 
     p = sub.add_parser("verify-theorems", help="run the acceptance suite")
     p.add_argument("--suite", default="all")
     add_json(p)
-    p.set_defaults(func=cmd_verify_theorems)
+    p.set_defaults(func=lambda args: cmd_verify_theorems(args))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR

@@ -351,13 +351,92 @@ def test_cli_tables_ex():
     assert len(lines) == 5
 
 
-def test_cli_usage_errors_exit_1():
+def test_cli_usage_errors_exit_1(capsys):
     code, _ = run_cli(["bounds", "nosuch", "--r", "3"])
     assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: argument selector: invalid choice: 'nosuch'"
+    )
     code, _ = run_cli(["nonexistent-command"])
     assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: argument command: invalid choice: 'nonexistent-command'"
+    )
     code, _ = run_cli(["search", "--n", "4"])  # missing required flags
     assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: turan-matroids search ")
+    assert err.splitlines()[-1] == "error: the following arguments are required: --r, --forbid"
+    code, _ = run_cli(["search", "--n", "x", "--r", "3", "--forbid", "3,4"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: argument --n: invalid int value: 'x'"
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the kept parser, so the test sees it built again."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def run_cli_streams(capsys, argv, stdin_text=""):
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    code, out = run_cli(argv, stdin_text)
+    return code, out, capsys.readouterr().err
+
+
+def test_cli_parser_built_once_per_process(fresh_parser, monkeypatch):
+    built = []
+
+    class CountingParser(cli.CliParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "CliParser", CountingParser)
+    for argv in (["bounds", "kung", "--r", "3", "--t", "2"], ["search", "--n", "4"], ["nosuch"]):
+        run_cli(argv)
+    assert built.count("turan-matroids") == 1
+    assert len(built) == len(set(built))  # no subparser built twice either
+
+
+def test_cli_repeated_calls_give_identical_output(capsys):
+    fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])[1]
+    runs = [
+        (["construct", "pg", "--r", "3", "--q", "2", "--label-map"], ""),
+        (["minor", "--s", "2", "--t", "4", "--json"], fano),
+        (["search", "--n", "4"], ""),
+        (["tables", "--json"], ""),
+        (["bounds", "prime_band", "--r", "3", "--t", "6", "--c", "-5"], ""),
+    ]
+    for argv, stdin_text in runs:
+        first = run_cli_streams(capsys, argv, stdin_text)
+        assert run_cli_streams(capsys, argv, stdin_text) == first, argv
+
+
+def test_cli_usage_error_and_help_leave_the_parser_unchanged(capsys):
+    argv = ["lagrangian", "--bound-t", "2", "--precision", "6", "--json"]
+    fano = run_cli(["construct", "pg", "--r", "3", "--q", "2"])[1]
+    before = run_cli_streams(capsys, argv, fano)
+    assert before[0] == 0
+    assert run_cli_streams(capsys, ["lagrangian", "--precision", "x"])[0] == 1
+    code, out, _ = run_cli_streams(capsys, ["lagrangian", "--help"])
+    assert code == 0 and out.startswith("usage: turan-matroids lagrangian ")
+    assert run_cli_streams(capsys, argv, fano) == before
+
+
+def test_cli_handler_looked_up_at_call_time(monkeypatch):
+    from turan_matroids.matroid import TheoremViolation
+
+    stdin_text = serialize_matroid(uniform(3, 5))
+    assert run_cli(["cover"], stdin_text) == (0, "3\n")
+
+    def boom(args):
+        raise TheoremViolation("synthetic escalation")
+
+    monkeypatch.setattr(cli, "cmd_cover", boom)
+    assert run_cli(["cover"], stdin_text)[0] == 2
 
 
 def bases_error(capsys, stdin_text):

@@ -1,5 +1,6 @@
 """Source hygiene checks on the package modules and the tests."""
 
+import argparse
 import ast
 import json
 import math
@@ -120,6 +121,28 @@ def test_bench_layer_fields_name_public_functions():
             if isinstance(node, ast.FunctionDef)
         }
         assert name in defined, qualname
+
+
+def test_cli_handlers_resolve_to_cmd_functions(monkeypatch):
+    # each subcommand's func looks its cmd_* handler up in cli when called,
+    # so a misspelled name would only fail when a user runs that command
+    from turan_matroids import cli
+
+    def leaves(parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield parser
+        for action in subs:
+            for child in action.choices.values():
+                yield from leaves(child)
+
+    handlers = {name for name in vars(cli) if name.startswith("cmd_")}
+    for name in handlers:
+        monkeypatch.setattr(cli, name, lambda args, name=name: name)
+    reached = {p.prog: p.get_default("func")(None) for p in leaves(cli.build_parser())}
+    assert reached["turan-matroids construct pg"] == "cmd_construct"
+    assert reached["turan-matroids cover"] == "cmd_cover"
+    assert set(reached.values()) == handlers  # every cmd_* is reached
 
 
 BENCH_RECORDS = sorted(TESTS.parent.glob("BENCH_*.json"))
